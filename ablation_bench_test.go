@@ -11,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Ablation benches for the design decisions flagged in DESIGN.md (◊):
-// promote cadence, scheduler delay spread, and dependency-declaration
-// strategy. Each reports the headline metric as a custom unit.
+// Ablation benches for three free parameters of the reproduction: promote
+// cadence, scheduler delay spread, and dependency-declaration strategy. Each
+// reports the headline metric as a custom unit.
 
 // BenchmarkAblationPromoteCadence varies the λ-step (promote) interval
 // relative to a fixed link delay D: the measured delivery latency should be

@@ -1,5 +1,5 @@
-// Package repro's top-level benchmarks regenerate every experiment of
-// EXPERIMENTS.md (one benchmark per table, BenchmarkE1..BenchmarkE8) plus
+// Package repro's top-level benchmarks regenerate experiments E1..E8 of
+// internal/bench (one benchmark per table, BenchmarkE1..BenchmarkE8) plus
 // micro-benchmarks of the hot building blocks. Run:
 //
 //	go test -bench=. -benchmem
@@ -105,7 +105,7 @@ func BenchmarkE8(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks (ablations; DESIGN.md decisions 3–5) ---
+// --- Micro-benchmarks of the hot building blocks ---
 
 // BenchmarkETOBThroughput measures simulated broadcasts/sec through the full
 // Algorithm 5 stack on the deterministic kernel.
@@ -138,8 +138,9 @@ func BenchmarkECInstances(b *testing.B) {
 	}
 }
 
-// BenchmarkCausalExtend measures UpdatePromote (DESIGN.md decision 3): the
-// deterministic topological extension, the hot path of Algorithm 5.
+// BenchmarkCausalExtend measures UpdatePromote: the deterministic
+// topological extension (ties broken by ID so runs are reproducible), the
+// hot path of Algorithm 5.
 func BenchmarkCausalExtend(b *testing.B) {
 	g := causal.New()
 	var prefix []string

@@ -1,8 +1,8 @@
-// Command bench regenerates the experiment tables of EXPERIMENTS.md on the
-// parallel sweep engine: each experiment decomposes into independent seeded
-// cells that fan out across a bounded worker pool, and rows reassemble in
-// deterministic order — the printed tables are byte-identical for any
-// -parallel value.
+// Command bench regenerates the experiment tables E1–E14 (registered in
+// internal/bench) on the parallel sweep engine: each experiment decomposes
+// into independent seeded cells that fan out across a bounded worker pool,
+// and rows reassemble in deterministic order — the printed tables are
+// byte-identical for any -parallel value.
 //
 // Usage:
 //
@@ -38,9 +38,8 @@
 //	                            # experiment tables (CI latency smoke)
 //	bench -json BENCH_8.json -scalen 5,16,64,256
 //	                            # additionally run the En cluster-size sweep
-//	                            # (the same ETOB workload at each n, all-to-all
-//	                            # vs gossip dissemination) into the report's
-//	                            # "scaling_n" section
+//	                            # (the same ETOB workload at each n, one row
+//	                            # per n) into the report's "scaling_n" section
 //	bench -json BENCH_7.json -metrics
 //	                            # additionally rerun the suite with the obs
 //	                            # metrics registry attached to every cell's
@@ -176,8 +175,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bench: running En cluster-size sweep at n = %s\n", *scaleN)
 		report.ScalingN = bench.ScaleN(ns, *quick, *seed)
 		for _, r := range report.ScalingN {
-			fmt.Fprintf(os.Stderr, "bench:   n=%-4d %-10s fanout %-3d %8.1f env/op %10.0f bytes/proc %9.0f steps/s %5.1f%% delivered\n",
-				r.N, r.Mode, r.SendFanout, r.EnvPerOp, r.BytesPerProc, r.StepsPerSec, r.DeliveredPct)
+			fmt.Fprintf(os.Stderr, "bench:   n=%-4d %8.1f env/op %10.0f bytes/proc %9.0f steps/s %5.1f%% delivered\n",
+				r.N, r.EnvPerOp, r.BytesPerProc, r.StepsPerSec, r.DeliveredPct)
 		}
 	}
 	if wantLatency {

@@ -70,28 +70,21 @@
 // metrics-on/off overhead audit, optional cluster-size scaling sweep)
 // tracking the perf trajectory.
 //
-// Cluster size n is a first-class scaling axis. The ETOB layer has a gossip
-// dissemination mode (etob.GossipFactory, gossip.Options, shared peer
-// sampling in internal/gossip): a flush sends op deltas to a seeded
-// ceil(log2 n)+1 peer sample instead of all-to-all, rumors age out after
-// ceil(log2 n) hops, and a digest-based anti-entropy rotation repairs the
-// tail — eventual delivery is all the eventual specs need, and with gossip
-// off every path is bit-identical to the historical one (golden-pinned).
-// The EC layer disseminates promote values the same way (ec.GossipDrivenFactory,
-// origin-stamped so values absorb by their proposer, not their carrier), and
-// gossip envelopes ride internal/retransmit's at-least-once layer unchanged.
-// Underneath, the kernel applies broadcasts as one batched heap entry per
-// send expanded at pop instead of n immediate inserts, fd.Cached bounds memo
-// state with a per-process LRU over segments, and the CT/Paxos/ABD quorum
-// layers count thresholds at insert instead of rescanning their maps per
-// delivery. cmd/bench -scalen runs the En experiment — the same workload at
-// n in {5..256}, gossip vs all-to-all columns, steps/sec and bytes/proc —
-// into the report's "scaling_n" section. The broadcast layers batch under load: etob.BatchOptions
-// coalesces k pending ops into one update(CG) broadcast (flush on depth k or
-// a linger deadline; k=1 is bit-for-bit the historical path) with an optional
-// AIMD controller that grows the window under queue pressure and halves it
-// when linger-forced flushes run light, and internal/ec carries bursts of
-// promote messages in one envelope the same way. internal/loadgen is the
+// Cluster size n is a first-class scaling axis. ETOB and EC disseminate as
+// the paper's Algorithms 4 and 5 do — every update and promote goes to all n
+// processes — and the eventual specs need only eventual receipt, which
+// internal/retransmit restores over lossy links. The kernel applies
+// broadcasts as one batched heap entry per send expanded at pop instead of n
+// immediate inserts, fd.Cached bounds memo state with a per-process LRU over
+// segments, and the CT/Paxos/ABD quorum layers count thresholds at insert
+// instead of rescanning their maps per delivery. cmd/bench -scalen runs the
+// En experiment — the same workload at n in {5..256}, one row per n with
+// steps/sec, envelopes/op and bytes/proc — into the report's "scaling_n"
+// section. ETOB batches under load: etob.BatchOptions coalesces k pending
+// ops into one update(CG) broadcast (flush on depth k or a linger deadline;
+// k=1 is bit-for-bit the historical path) with an optional AIMD controller
+// that grows the window under queue pressure and halves it when
+// linger-forced flushes run light. internal/loadgen is the
 // open-loop harness that measures what batching buys: seeded Poisson arrivals
 // over many client sessions into the kernel (or a live cluster), recording
 // submit→visible-at-every-correct-process and submit→order-stable latency
@@ -140,9 +133,9 @@
 // bounds sender state toward permanently crashed receivers while preserving
 // at-least-once delivery to any process that ever returns.
 //
-// Start with README.md (overview and quickstart), DESIGN.md (system
-// inventory, per-experiment index, design decisions), and EXPERIMENTS.md
-// (paper-vs-measured for every claim). The root package holds the benchmark
+// The experiment index (which table checks which claim of the paper) is the
+// internal/bench package comment; cmd/ecsim, cmd/bench and the examples are
+// the runnable entry points. The root package holds the benchmark
 // suite (bench_test.go, ablation_bench_test.go) and cross-module
 // integration/fuzz tests (integration_test.go).
 package repro

@@ -1,4 +1,4 @@
-// Package bench regenerates every experiment table of EXPERIMENTS.md. The
+// Package bench regenerates every experiment table of this reproduction. The
 // paper is a theory paper — its "evaluation" is a set of proved claims — so
 // each experiment operationalizes one claim as a measurable table:
 //
@@ -31,7 +31,8 @@
 //	              leader-awareness costs ~10x over both
 //
 // All experiments run on the deterministic kernel; absolute times are
-// simulator ticks, and "steps" are message delays (DESIGN.md decision 5).
+// simulator ticks, and "steps" are message delays: the paper counts
+// communication steps, and local timeouts are an additive, tunable term.
 //
 // The suite lives in a single ordered registry (registry.go) from which All,
 // ByID, IDs, and the parallel sweep Runner all derive. Every experiment is

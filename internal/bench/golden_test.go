@@ -53,11 +53,9 @@ func TestGoldenQuickSuite(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickSuiteE13E14 completes the E1–E14 gossip-off pin: E13/E14
-// quick tables against the snapshot committed with the gossip dissemination
-// mode. Gossip is strictly opt-in (zero-value gossip.Options), so the new
-// dissemination layer, the digest anti-entropy, and the En scaling sweep may
-// not move one cell of any existing experiment.
+// TestGoldenQuickSuiteE13E14 completes the E1–E14 pin: E13/E14 quick tables
+// against their committed snapshot. Changes to dissemination code or to the
+// En scaling sweep may not move one cell of any existing experiment.
 func TestGoldenQuickSuiteE13E14(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_quick_E13_E14.txt"))
 	if err != nil {
@@ -68,6 +66,6 @@ func TestGoldenQuickSuiteE13E14(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := formatAll(results); got != string(want) {
-		t.Errorf("E13–E14 quick tables drifted from the gossip-era snapshot.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("E13–E14 quick tables drifted from the committed snapshot.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -122,7 +122,7 @@ func (a *rotorAuto) Input(model.Context, any)              {}
 
 // microScale defines the big-n microbenchmarks parameterized over cluster
 // size — broadcast fan-out, heap churn, and the fd.Cached hit path — the
-// axes the gossip/scaling work optimizes. They mirror BenchmarkKernelBroadcastN,
+// axes the big-n scaling work optimizes. They mirror BenchmarkKernelBroadcastN,
 // BenchmarkKernelHeapChurnN, and BenchmarkCachedHitPathN in
 // internal/sim/kernel_bench_test.go. quick drops the n=256 points so CI
 // smoke jobs stay fast; full runs record all three sizes.

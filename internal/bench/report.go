@@ -11,11 +11,12 @@ import (
 // as BENCH_<n>.json to track the perf trajectory across PRs.
 //
 // Schema ("repro-bench/6" — rev 6 adds the optional "scaling_n" section: the
-// En cluster-size sweep, two rows per n (all-to-all vs gossip dissemination)
-// recording kernel steps/sec, measured dissemination envelopes and payload
-// bytes per process, and the analytic per-sender fan-out (n−1 vs
-// ceil(log2 n)+1); absent when the sweep was not requested. Note "scaling"
-// (rev 2) remains the WORKER-count sweep — wall-time parallelism — while
+// En cluster-size sweep, one row per n, recording kernel steps/sec and the
+// measured update envelopes and payload bytes per process of the all-to-all
+// broadcast; absent when the sweep was not requested. Reports written while
+// ETOB still had a gossip mode carry two rows per n, told apart by a "mode"
+// field, plus the analytic per-sender "send_fanout". Note "scaling" (rev 2)
+// remains the WORKER-count sweep — wall-time parallelism — while
 // "scaling_n" scales the simulated cluster itself.
 //
 // Rev 5 adds the optional "metrics" section: the
@@ -50,9 +51,9 @@ import (
 //	     "steps_per_sec": 270000}, // kernel steps / cell time
 //	    ...],
 //	  "scaling_n": [               // optional -scalen cluster-size sweep (see ScaleN)
-//	    {"n": 64, "mode": "gossip", "ops": 128, "delivered_pct": 99.2,
+//	    {"n": 64, "ops": 64, "delivered_pct": 100,
 //	     "steps": 123456, "wall_ms": 80.0, "steps_per_sec": 1500000,
-//	     "send_fanout": 7, "envelopes": 9000, "envelopes_per_op": 70.3,
+//	     "envelopes": 4096, "envelopes_per_op": 64,
 //	     "bytes": 400000, "bytes_per_proc": 6250.0}, ...],
 //	  "scaling": [                 // optional -scaling sweep, one point per worker
 //	                               // count; each point reruns exactly the experiment

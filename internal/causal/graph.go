@@ -11,7 +11,8 @@
 // s such that the given prefix is a prefix of s, s contains every message of
 // the graph exactly once, and for every edge (m1, m2), m1 appears before m2.
 // Ties are broken deterministically (lexicographically by message ID), which
-// makes promote sequences reproducible across runs — see DESIGN.md decision 3.
+// makes promote sequences reproducible across runs: same-seed runs, and so
+// the golden experiment tables, are byte-identical.
 //
 // Storage is positional — nodes in insertion order with a parallel
 // predecessor table — so Clone is a copy-on-write snapshot: it copies slice

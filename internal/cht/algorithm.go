@@ -34,7 +34,8 @@ type Algorithm interface {
 	// Name identifies the algorithm in logs.
 	Name() string
 	// MaxInstance is the number of consensus instances simulated (the L cap;
-	// the paper's construction is unbounded, see DESIGN.md decision 4).
+	// the paper's construction is unbounded, and a finite simulation needs
+	// a cap).
 	MaxInstance() int
 	// InitState is the state of process p before it invokes proposeEC_1.
 	InitState(p model.ProcID, n int) string

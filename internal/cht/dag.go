@@ -25,8 +25,9 @@
 //
 // The paper's construction is a limit argument over infinite DAGs and trees;
 // this implementation reproduces it over monotonically growing finite DAGs
-// and exposes the stabilization behavior the proof describes (see DESIGN.md,
-// decision 4).
+// and exposes the stabilization behavior the proof describes: the extracted
+// leader settles once the DAG prefix is long enough, which is all a finite
+// run can observe of the limit.
 //
 // # Execution engine
 //

@@ -488,7 +488,8 @@ type Explorer struct {
 }
 
 // NewExplorer prepares a one-shot exploration of the full DAG. maxNodes caps
-// the node count (the limit tree is infinite; see DESIGN.md decision 4); 0
+// the node count (the paper's limit tree is infinite, so any finite
+// exploration needs a cap); 0
 // means 200000. For repeated extractions over a growing DAG, use TreeCache,
 // which shares the engine across views.
 func NewExplorer(alg Algorithm, n int, dag *DAG, fixedInputs []int, maxNodes int) *Explorer {

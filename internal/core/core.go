@@ -25,7 +25,6 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/etob"
 	"repro/internal/fd"
-	"repro/internal/gossip"
 	"repro/internal/model"
 	"repro/internal/retransmit"
 	"repro/internal/runtime"
@@ -149,11 +148,6 @@ type StackOptions struct {
 	// zero value — batching disabled — keeps the stack bit-for-bit identical
 	// to the historical one.
 	Batch etob.BatchOptions
-	// Gossip switches ETOB to epidemic dissemination: each flush goes to a
-	// seeded O(log n) peer sample instead of n−1 sends, with digest-based
-	// anti-entropy as the repair channel (Eventual only). The zero value —
-	// gossip disabled — keeps the stack bit-for-bit identical.
-	Gossip gossip.Options
 }
 
 // ReplicaStackWith is ReplicaStack with the optional layers spelled out —
@@ -166,12 +160,9 @@ func ReplicaStackWith(c Consistency, o StackOptions) model.AutomatonFactory {
 	var broadcast model.AutomatonFactory
 	switch c {
 	case Eventual, 0:
-		switch {
-		case o.Gossip.Enabled():
-			broadcast = etob.GossipFactory(o.Batch, o.Gossip)
-		case o.Batch.Enabled():
+		if o.Batch.Enabled() {
 			broadcast = etob.BatchedFactory(o.Batch)
-		default:
+		} else {
 			broadcast = etob.Factory()
 		}
 	case Strong:

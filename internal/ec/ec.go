@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/fd"
-	"repro/internal/gossip"
 	"repro/internal/model"
 )
 
@@ -49,22 +48,6 @@ type Automaton struct {
 	decided  map[int]bool                    // instances already responded to
 	driver   Driver                          // optional auto-proposer
 	values   map[int]string                  // values this process proposed
-
-	// Promote batching (batch.go): inert unless batch.Enabled().
-	batch         BatchOptions
-	pending       []PromoteMsg
-	linger        int
-	flushes       int64
-	fullFlushes   int64 // flushes triggered by queue depth
-	lingerFlushes int64 // flushes forced by the linger timeout
-
-	// Gossip dissemination (gossip.go): inert unless gossip.Enabled().
-	gossip   gossip.Options
-	sampler  *gossip.Sampler
-	fresh    []GossipPromote // novel promotes awaiting one coalesced re-forward
-	freshAge int             // max incoming age among fresh (re-forward at +1)
-	aeTick   int             // ticks since the last anti-entropy exchange
-	gstats   GossipStats
 }
 
 var _ model.Automaton = (*Automaton)(nil)
@@ -130,39 +113,15 @@ func (a *Automaton) propose(ctx model.Context, instance int, value string) {
 	}
 	a.count = instance
 	a.values[instance] = value
-	if a.gossip.Enabled() {
-		a.emitGossipPropose(ctx, instance, value)
-		return
-	}
-	if a.batch.Enabled() {
-		a.enqueuePromote(ctx, PromoteMsg{Value: value, Instance: instance})
-		return
-	}
 	ctx.Broadcast(PromoteMsg{Value: value, Instance: instance})
 }
 
 // Recv implements model.Automaton.
 func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
-	if g, ok := payload.(GossipPromoteMsg); ok {
-		a.recvGossipPromote(g)
-		return
-	}
-	if b, ok := payload.(PromoteBatchMsg); ok {
-		for _, m := range b.Msgs {
-			a.recvPromote(from, m)
-		}
-		return
-	}
 	m, ok := payload.(PromoteMsg)
 	if !ok {
 		return
 	}
-	a.recvPromote(from, m)
-}
-
-// recvPromote is the reception handler of one promote(v, ℓ), shared by the
-// raw and batched carriers.
-func (a *Automaton) recvPromote(from model.ProcID, m PromoteMsg) {
 	byInst := a.received[from]
 	if byInst == nil {
 		byInst = make(map[int]string)
@@ -175,15 +134,8 @@ func (a *Automaton) recvPromote(from model.ProcID, m PromoteMsg) {
 	}
 }
 
-// Tick implements model.Automaton: the "local timeout" of Algorithm 4. With
-// batching enabled, queued promotes flush (by linger) before the decide step.
+// Tick implements model.Automaton: the "local timeout" of Algorithm 4.
 func (a *Automaton) Tick(ctx model.Context) {
-	if a.batch.Enabled() {
-		a.tickBatch(ctx)
-	}
-	if a.gossip.Enabled() {
-		a.tickGossip(ctx)
-	}
 	if a.count == 0 || a.decided[a.count] {
 		return
 	}

@@ -109,20 +109,6 @@ func BatchedFactory(o BatchOptions) model.AutomatonFactory {
 	return func(p model.ProcID, n int) model.Automaton { return NewBatched(p, n, o) }
 }
 
-// NewWithCommitBatched returns the committed-prefix automaton over a batched
-// core (the commit layer sits entirely on the promote/ack side, so it
-// composes with batching unchanged).
-func NewWithCommitBatched(p model.ProcID, n int, o BatchOptions) *CommitAutomaton {
-	a := NewWithCommit(p, n)
-	a.SetBatch(o)
-	return a
-}
-
-// CommitBatchedFactory adapts NewWithCommitBatched to model.AutomatonFactory.
-func CommitBatchedFactory(o BatchOptions) model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton { return NewWithCommitBatched(p, n, o) }
-}
-
 // SetBatch installs the batch options. Must be called before the automaton
 // takes its first step.
 func (a *Automaton) SetBatch(o BatchOptions) {
@@ -187,10 +173,6 @@ func (a *Automaton) flush(ctx model.Context, full bool) {
 	if a.onFlush != nil {
 		ids = make([]string, 0, flushed)
 	}
-	var gops []GossipOp
-	if a.gossip.Enabled() {
-		gops = make([]GossipOp, 0, flushed)
-	}
 	for i := range a.pending {
 		op := &a.pending[i]
 		deps := op.deps
@@ -201,11 +183,6 @@ func (a *Automaton) flush(ctx model.Context, full bool) {
 		if ids != nil {
 			ids = append(ids, op.id)
 		}
-		if gops != nil {
-			// deps is either frontier()'s fresh slice or the copy enqueue
-			// made, so the rumor can own it past this step.
-			gops = append(gops, GossipOp{ID: op.id, Deps: deps})
-		}
 	}
 	a.pending = a.pending[:0]
 	a.linger = 0
@@ -215,11 +192,7 @@ func (a *Automaton) flush(ctx model.Context, full bool) {
 	} else {
 		a.lingerFlushes++
 	}
-	if gops != nil {
-		a.emitGossip(ctx, gops)
-	} else {
-		ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
-	}
+	ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	if a.onFlush != nil {
 		a.onFlush(ids)
 	}

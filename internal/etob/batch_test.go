@@ -261,7 +261,12 @@ func TestBatchCommitComposition(t *testing.T) {
 	// cluster still commits every op.
 	fp := model.NewFailurePattern(3)
 	det := fd.NewOmegaStable(fp, 1)
-	k := sim.New(fp, det, CommitBatchedFactory(BatchOptions{MaxBatch: 3, MaxLinger: 2}), sim.Options{Seed: 21})
+	factory := func(p model.ProcID, n int) model.Automaton {
+		a := NewWithCommit(p, n)
+		a.SetBatch(BatchOptions{MaxBatch: 3, MaxLinger: 2})
+		return a
+	}
+	k := sim.New(fp, det, factory, sim.Options{Seed: 21})
 	for i := 0; i < 6; i++ {
 		for _, p := range model.Procs(3) {
 			k.ScheduleInput(p, model.Time(20+p), model.BroadcastInput{ID: fmt.Sprintf("c%d#%d", p, i)})

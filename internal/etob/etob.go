@@ -30,18 +30,9 @@
 // target; at k=1 it degenerates bit-for-bit to the unbatched automaton. See
 // the flush-policy contract in batch.go.
 //
-// A gossip dissemination mode (gossip.go, GossipFactory + gossip.Options)
-// replaces the all-to-all update(CG_i) broadcast for clusters with n in the
-// hundreds: a flush sends op deltas to a seeded sample of Fanout =
-// ceil(log2 n)+1 peers instead of n−1, receivers re-forward novel ops with
-// an age bound of ceil(log2 n) hops, and a digest-based anti-entropy
-// rotation repairs whatever the epidemic missed. Eventual delivery of every
-// op to every correct process is all ETOB needs — the spec's delivery
-// guarantees are themselves eventual, so a dissemination layer that
-// guarantees eventual receipt (rumors for the fast path, anti-entropy for
-// the tail) preserves Lemma 3 verbatim while cutting per-flush sender cost
-// from O(n) to O(log n). With gossip disabled the factory is bit-identical
-// to the plain path. See the layer contract in gossip.go.
+// Dissemination is the paper's: every flush sends the whole update(CG_i) to
+// all n processes. Lemma 3 needs only eventual receipt, and the
+// retransmission layer (internal/retransmit) restores that over lossy links.
 package etob
 
 import (
@@ -50,7 +41,6 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/fd"
-	"repro/internal/gossip"
 	"repro/internal/model"
 )
 
@@ -109,16 +99,6 @@ type Automaton struct {
 	// broadcast carries (the flushed batch, or the single op on the unbatched
 	// path). Observability tap — see SetFlushHook.
 	onFlush func(ids []string)
-
-	// Gossip dissemination mode (gossip.go): epidemic forwarding of graph
-	// deltas instead of all-to-all update broadcasts. Inert — never touched —
-	// unless gossip.Enabled().
-	gossip   gossip.Options
-	sampler  *gossip.Sampler
-	fresh    []GossipOp // novel ops awaiting one tick-coalesced re-forward
-	freshAge int        // max incoming age among fresh (re-forward at +1)
-	aeTick   int        // ticks since the last anti-entropy exchange
-	gstats   GossipStats
 }
 
 var _ model.Automaton = (*Automaton)(nil)
@@ -166,19 +146,11 @@ func (a *Automaton) BroadcastETOB(ctx model.Context, id string, deps []string) {
 	if a.cg.Has(id) {
 		return // duplicate broadcast of the same ID: ignore
 	}
-	explicit := deps != nil
 	if deps == nil {
 		deps = a.frontier()
 	}
 	a.updateCG(id, deps)
-	if a.gossip.Enabled() {
-		if explicit {
-			deps = append([]string(nil), deps...) // rumor outlives the step; callers may reuse their slice
-		}
-		a.emitGossip(ctx, []GossipOp{{ID: id, Deps: deps}})
-	} else {
-		ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
-	}
+	ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	if a.onFlush != nil {
 		a.onFlush([]string{id})
 	}
@@ -208,10 +180,6 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 	case UpdateMsg:
 		a.unionCG(m.CG)
 		a.updatePromote()
-	case GossipMsg:
-		a.recvGossip(m)
-	case DigestMsg:
-		a.recvDigest(ctx, from, m)
 	case PromoteMsg:
 		leader, ok := fd.LeaderOf(ctx.FD())
 		if !ok || leader != from {
@@ -234,9 +202,6 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 func (a *Automaton) Tick(ctx model.Context) {
 	if a.batch.Enabled() {
 		a.tickBatch(ctx)
-	}
-	if a.gossip.Enabled() {
-		a.tickGossip(ctx)
 	}
 	leader, ok := fd.LeaderOf(ctx.FD())
 	if !ok || leader != a.self {

@@ -96,7 +96,8 @@ func TestQuickPromotePrefixInvariant(t *testing.T) {
 
 // TestQuickStalePromotesNeverShrinkD: delivering promote messages with
 // arbitrary (possibly decreasing) counters never makes d_i adopt a stale
-// sequence — the non-FIFO fix of DESIGN.md decision 6.
+// sequence — the per-sender promote counter that makes adoption safe over
+// non-FIFO links.
 func TestQuickStalePromotesNeverShrinkD(t *testing.T) {
 	f := func(ctrsRaw []uint8) bool {
 		a := New(2, 2)

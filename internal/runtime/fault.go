@@ -425,71 +425,55 @@ func maxDuration(a, b time.Duration) time.Duration {
 // faultPresets is the live injector's preset vocabulary. The names mirror
 // internal/sim/adversary's registry so "lossy" means the same kind of
 // environment in the simulator and over real sockets; the magnitudes are
-// rescaled from ticks to wall time.
-var (
-	faultPresetsMu sync.Mutex
-	faultPresets   = map[string]func(seed int64) FaultConfig{
-		// lossy: ~15% mean per-link loss, independent drops — pair with the
-		// retransmission layer (internal/node always does).
-		"lossy": func(seed int64) FaultConfig {
-			return FaultConfig{Seed: seed, Drop: 0.15}
-		},
-		// lossy-burst: ~15% mean loss arriving in bursts of up to 4.
-		"lossy-burst": func(seed int64) FaultConfig {
-			return FaultConfig{Seed: seed, Drop: 0.15, Burst: 4}
-		},
-		// resets: a connection reset roughly every 40 frames per link, each
-		// taking out a 3-frame burst — the mid-stream connection loss regime
-		// the TCP transport's redial path is hardened against.
-		"resets": func(seed int64) FaultConfig {
-			return FaultConfig{Seed: seed, ResetEvery: 40, ResetBurst: 3}
-		},
-		// hostile: the live mirror of the simulator's hostile stack — ~10%
-		// loss, added delay jitter, occasional duplicates and reorders, and
-		// reset bursts, all at once.
-		"hostile": func(seed int64) FaultConfig {
-			return FaultConfig{
-				Seed: seed, Drop: 0.10, Burst: 3,
-				DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond,
-				Duplicate: 0.05, Reorder: 0.10,
-				ResetEvery: 80, ResetBurst: 3,
-			}
-		},
-		// hostile-partition: the hostile stack plus a timed partition-and-heal
-		// window — {p1, p2} split from the rest 2s in, healed 1s later — the
-		// live mirror of the simulator's composite of the same name. Send-side
-		// enforcement means every node must run the preset for full isolation,
-		// exactly as every replica shares one simulated network.
-		"hostile-partition": func(seed int64) FaultConfig {
-			return FaultConfig{
-				Seed: seed, Drop: 0.10, Burst: 3,
-				DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond,
-				Duplicate: 0.05, Reorder: 0.10,
-				ResetEvery: 80, ResetBurst: 3,
-				PartitionAfter: 2 * time.Second,
-				PartitionFor:   time.Second,
-				PartitionLeft:  []model.ProcID{1, 2},
-			}
-		},
-	}
-)
-
-// RegisterFaultPreset adds a named live-injector preset, the way
-// sim.RegisterPreset names simulator environments. Duplicate names panic.
-func RegisterFaultPreset(name string, mk func(seed int64) FaultConfig) {
-	faultPresetsMu.Lock()
-	defer faultPresetsMu.Unlock()
-	if _, dup := faultPresets[name]; dup {
-		panic("runtime: fault preset " + name + " already registered")
-	}
-	faultPresets[name] = mk
+// rescaled from ticks to wall time. The table is fixed: it is only read.
+var faultPresets = map[string]func(seed int64) FaultConfig{
+	// lossy: ~15% mean per-link loss, independent drops — pair with the
+	// retransmission layer (internal/node always does).
+	"lossy": func(seed int64) FaultConfig {
+		return FaultConfig{Seed: seed, Drop: 0.15}
+	},
+	// lossy-burst: ~15% mean loss arriving in bursts of up to 4.
+	"lossy-burst": func(seed int64) FaultConfig {
+		return FaultConfig{Seed: seed, Drop: 0.15, Burst: 4}
+	},
+	// resets: a connection reset roughly every 40 frames per link, each
+	// taking out a 3-frame burst — the mid-stream connection loss regime
+	// the TCP transport's redial path is hardened against.
+	"resets": func(seed int64) FaultConfig {
+		return FaultConfig{Seed: seed, ResetEvery: 40, ResetBurst: 3}
+	},
+	// hostile: the live mirror of the simulator's hostile stack — ~10%
+	// loss, added delay jitter, occasional duplicates and reorders, and
+	// reset bursts, all at once.
+	"hostile": func(seed int64) FaultConfig {
+		return FaultConfig{
+			Seed: seed, Drop: 0.10, Burst: 3,
+			DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond,
+			Duplicate: 0.05, Reorder: 0.10,
+			ResetEvery: 80, ResetBurst: 3,
+		}
+	},
+	// hostile-partition: the hostile stack plus a timed partition-and-heal
+	// window — {p1, p2} split from the rest 2s in, healed 1s later — the
+	// live mirror of the simulator's composite of the same name. Send-side
+	// enforcement means every node must run the preset for full isolation,
+	// exactly as every replica shares one simulated network.
+	"hostile-partition": func(seed int64) FaultConfig {
+		return FaultConfig{
+			Seed: seed, Drop: 0.10, Burst: 3,
+			DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond,
+			Duplicate: 0.05, Reorder: 0.10,
+			ResetEvery: 80, ResetBurst: 3,
+			PartitionAfter: 2 * time.Second,
+			PartitionFor:   time.Second,
+			PartitionLeft:  []model.ProcID{1, 2},
+		}
+	},
 }
 
 // FaultPreset resolves a named fault profile at a seed. ok is false for
 // unknown names; FaultPresetNames lists the vocabulary.
 func FaultPreset(name string, seed int64) (FaultConfig, bool) {
-	faultPresetsMu.Lock()
-	defer faultPresetsMu.Unlock()
 	mk, ok := faultPresets[name]
 	if !ok {
 		return FaultConfig{}, false
@@ -497,10 +481,8 @@ func FaultPreset(name string, seed int64) (FaultConfig, bool) {
 	return mk(seed), true
 }
 
-// FaultPresetNames lists the registered live fault presets, sorted.
+// FaultPresetNames lists the live fault presets, sorted.
 func FaultPresetNames() []string {
-	faultPresetsMu.Lock()
-	defer faultPresetsMu.Unlock()
 	names := make([]string, 0, len(faultPresets))
 	for name := range faultPresets {
 		names = append(names, name)

@@ -57,7 +57,14 @@ func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
 		}
 	}
 
+	// The writer bumps its counters after conn.Write returns, which can be
+	// after the receiver already holds every frame: wait for the accounting
+	// to land before checking it.
 	flushes, coalesced := ep1.Flushes(), ep1.Coalesced()
+	for deadline := time.Now().Add(5 * time.Second); flushes+coalesced < frames && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		flushes, coalesced = ep1.Flushes(), ep1.Coalesced()
+	}
 	if flushes+coalesced != frames {
 		t.Errorf("flushes (%d) + coalesced (%d) != %d delivered frames", flushes, coalesced, frames)
 	}

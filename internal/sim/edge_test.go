@@ -74,7 +74,7 @@ func (c *ctxLeaker) Input(model.Context, any)              {}
 func TestLinksAreNotFIFO(t *testing.T) {
 	// With a wide delay spread, two messages sent back-to-back on one link
 	// can arrive reordered — the model property that motivated the ETOB
-	// promote counters (DESIGN.md decision 6).
+	// promote counters (a stale promote must never shrink d_i).
 	reordered := false
 	for seed := int64(1); seed <= 20 && !reordered; seed++ {
 		fp := model.NewFailurePattern(2)
