@@ -17,9 +17,9 @@
 //
 // Chaos mode wraps a replica's transport in the seeded live fault injector
 // (runtime.FaultTransport): -chaos names a preset from the injector's
-// vocabulary (lossy, lossy-burst, resets, hostile) and -chaos-seed pins its
-// deterministic fault schedule, so a whole cluster of ecnode processes can
-// soak under reproducible network hostility:
+// vocabulary (lossy, lossy-burst, resets, hostile, hostile-partition) and
+// -chaos-seed pins its deterministic fault schedule, so a whole cluster of
+// ecnode processes can soak under reproducible network hostility:
 //
 //	ecnode -id 1 -peers ... -chaos lossy -chaos-seed 42
 package main

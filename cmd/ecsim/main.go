@@ -47,7 +47,6 @@ import (
 	"repro/internal/retransmit"
 	"repro/internal/sim"
 	_ "repro/internal/sim/adversary" // init registers the lossy/churn/adversarial/composite presets
-	"repro/internal/tob"
 	"repro/internal/trace"
 )
 
@@ -125,9 +124,9 @@ func run() int {
 	case "etobcommit":
 		factory = etob.CommitFactory() // §7 extension: committed-prefix indications
 	case "paxos":
-		factory = tob.PaxosLog(consensus.MajorityQuorums)
+		factory = consensus.LogFactory(consensus.MajorityQuorums)
 	case "tobc":
-		factory = tob.FromConsensus(consensus.MajorityQuorums)
+		factory = consensus.TOBFactory(consensus.MajorityQuorums)
 	default:
 		fmt.Fprintf(os.Stderr, "ecsim: unknown -protocol %q\n", *protocol)
 		return 2

@@ -76,7 +76,7 @@
 // internal/retransmit restores over lossy links. The kernel applies
 // broadcasts as one batched heap entry per send expanded at pop instead of n
 // immediate inserts, fd.Cached bounds memo state with a per-process LRU over
-// segments, and the CT/Paxos/ABD quorum layers count thresholds at insert
+// segments, and the Paxos/ABD quorum layers count thresholds at insert
 // instead of rescanning their maps per delivery. cmd/bench -scalen runs the
 // En experiment — the same workload at n in {5..256}, one row per n with
 // steps/sec, envelopes/op and bytes/proc — into the report's "scaling_n"
@@ -86,7 +86,7 @@
 // that grows the window under queue pressure and halves it when
 // linger-forced flushes run light. internal/loadgen is the
 // open-loop harness that measures what batching buys: seeded Poisson arrivals
-// over many client sessions into the kernel (or a live cluster), recording
+// over many client sessions into the kernel, recording
 // submit→visible-at-every-correct-process and submit→order-stable latency
 // per op into fixed-footprint log-bucketed histograms — p50/p99/p999 per
 // network preset × batch config land in the report's "latency" section

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/tob"
 	"repro/internal/trace"
 )
 
@@ -35,8 +34,8 @@ func e1Spec(opts Options) spec {
 		expect  string
 	}{
 		{"ETOB (Alg 5, Ω)", etob.Factory(), "2"},
-		{"Paxos log (Ω, majority)", tob.PaxosLog(consensus.MajorityQuorums), "3"},
-		{"TOB = Alg1 over consensus", tob.FromConsensus(consensus.MajorityQuorums), ">=3"},
+		{"Paxos log (Ω, majority)", consensus.LogFactory(consensus.MajorityQuorums), "3"},
+		{"TOB = Alg1 over consensus", consensus.TOBFactory(consensus.MajorityQuorums), ">=3"},
 	}
 	s := spec{shell: Table{
 		ID:     "E1",

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/quorum"
 	"repro/internal/sim"
-	"repro/internal/tob"
 	"repro/internal/trace"
 )
 
@@ -59,9 +58,9 @@ func e5Spec(opts Options) spec {
 	bcases := []bcase{
 		{"ETOB (Alg 5)", etob.Factory(),
 			func(fp *model.FailurePattern) fd.Detector { return fd.NewOmegaStable(fp, 1) }, "Omega"},
-		{"Paxos log, majority", tob.PaxosLog(consensus.MajorityQuorums),
+		{"Paxos log, majority", consensus.LogFactory(consensus.MajorityQuorums),
 			func(fp *model.FailurePattern) fd.Detector { return fd.NewOmegaStable(fp, 1) }, "Omega"},
-		{"Paxos log, Sigma quorums", tob.PaxosLog(consensus.SigmaQuorums),
+		{"Paxos log, Sigma quorums", consensus.LogFactory(consensus.SigmaQuorums),
 			func(fp *model.FailurePattern) fd.Detector {
 				return fd.NewOmegaSigma(fd.NewOmegaStable(fp, 1), fd.NewSigma(fp, 0))
 			}, "Omega+Sigma"},

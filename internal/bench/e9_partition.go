@@ -8,7 +8,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/tob"
 	"repro/internal/trace"
 )
 
@@ -89,8 +88,8 @@ func e9Spec(opts Options) spec {
 		cases = append(cases, e9Case{"ETOB (Omega)", etob.Factory(), omega, k, baselineDur})
 	}
 	cases = append(cases,
-		e9Case{"Paxos majority (Omega)", tob.PaxosLog(consensus.MajorityQuorums), omega, 2, baselineDur},
-		e9Case{"Paxos Sigma (Omega+Sigma)", tob.PaxosLog(consensus.SigmaQuorums), omegaSigma, 2, baselineDur},
+		e9Case{"Paxos majority (Omega)", consensus.LogFactory(consensus.MajorityQuorums), omega, 2, baselineDur},
+		e9Case{"Paxos Sigma (Omega+Sigma)", consensus.LogFactory(consensus.SigmaQuorums), omegaSigma, 2, baselineDur},
 	)
 	for _, c := range cases {
 		c := c

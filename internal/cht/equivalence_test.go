@@ -13,8 +13,8 @@ import (
 // the engine down the reference string Step/decode/encode route.
 type stringPathAlg struct{ inner Algorithm }
 
-func (a stringPathAlg) Name() string        { return a.inner.Name() }
-func (a stringPathAlg) MaxInstance() int    { return a.inner.MaxInstance() }
+func (a stringPathAlg) Name() string     { return a.inner.Name() }
+func (a stringPathAlg) MaxInstance() int { return a.inner.MaxInstance() }
 func (a stringPathAlg) InitState(p model.ProcID, n int) string {
 	return a.inner.InitState(p, n)
 }

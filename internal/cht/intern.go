@@ -213,13 +213,13 @@ func (in *Interner) ConfigValue(id int32) *frozenConfig { return &in.cfgs[id] }
 func (in *Interner) freezeI32(slab *[]int32, src []int32) []int32 {
 	s := append(*slab, src...)
 	*slab = s
-	return s[len(s)-len(src) : len(s):len(s)]
+	return s[len(s)-len(src) : len(s) : len(s)]
 }
 
 func (in *Interner) freezeU8(slab *[]uint8, src []uint8) []uint8 {
 	s := append(*slab, src...)
 	*slab = s
-	return s[len(s)-len(src) : len(s):len(s)]
+	return s[len(s)-len(src) : len(s) : len(s)]
 }
 
 func eqI32(a, b []int32) bool {

@@ -17,6 +17,12 @@
 // steady state (submit → accept → accepted), matching the lower bound for
 // strong consistency [Lamport, Distributed Computing 2006] that the paper
 // contrasts with ETOB's two steps.
+//
+// Sequence exposes independent single-decree instances as a strong consensus
+// sequence, and TOBFactory builds the textbook batch-based total order
+// broadcast over it. LogFactory and TOBFactory are the two strong TOB
+// baselines; their liveness needs majority (or Σ) quorums, which the paper's
+// ETOB does not — that contrast is experiment E5.
 package consensus
 
 import (

@@ -241,3 +241,53 @@ func TestBallotUniquenessAndMonotonicity(t *testing.T) {
 		t.Fatal("distinct processes must draw from distinct residue classes")
 	}
 }
+
+// traceObs flattens a run into a comparable event string sequence.
+type traceObs struct {
+	sim.NopObserver
+	events []string
+}
+
+func (o *traceObs) OnSend(t model.Time, m sim.Message) {
+	o.events = append(o.events, fmt.Sprintf("S %d #%d %v->%v %+v", t, m.ID, m.From, m.To, m.Payload))
+}
+
+func (o *traceObs) OnDeliver(t model.Time, m sim.Message) {
+	o.events = append(o.events, fmt.Sprintf("D %d #%d %v->%v %+v", t, m.ID, m.From, m.To, m.Payload))
+}
+
+func (o *traceObs) OnOutput(p model.ProcID, t model.Time, v any) {
+	o.events = append(o.events, fmt.Sprintf("O %d %v %+v", t, p, v))
+}
+
+// TestPaxosTraceDeterminism covers the map-iteration audit in paxos.go: the
+// leader's retransmission and re-proposal loops must emit messages in sorted
+// instance order, so same seed ⇒ same trace.
+func TestPaxosTraceDeterminism(t *testing.T) {
+	run := func() []string {
+		fp := model.NewFailurePattern(5)
+		fp.Crash(5, 400)
+		det := fd.NewOmegaEventual(fp, 2, 300) // leadership churn → re-proposals
+		obs := &traceObs{}
+		k := sim.New(fp, det, LogFactory(MajorityQuorums), sim.Options{Seed: 5})
+		k.SetObserver(obs)
+		for i := 0; i < 6; i++ {
+			p := model.ProcID(i%4 + 1)
+			k.ScheduleInput(p, model.Time(30+40*i), model.BroadcastInput{ID: fmt.Sprintf("m%d", i)})
+		}
+		k.Run(5000)
+		return obs.events
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("empty trace")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("Paxos traces diverge at event %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
+		}
+	}
+}

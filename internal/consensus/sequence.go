@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/transform"
 )
 
 // Sequence is a sequence of independent single-decree Paxos instances exposed
@@ -90,6 +91,18 @@ func NewSequence(p model.ProcID, n int, mode QuorumMode) *Sequence {
 // SequenceFactory adapts NewSequence to model.AutomatonFactory.
 func SequenceFactory(mode QuorumMode) model.AutomatonFactory {
 	return func(p model.ProcID, n int) model.Automaton { return NewSequence(p, n, mode) }
+}
+
+// TOBFactory returns the textbook batch-based total order broadcast
+// [Chandra–Toueg 96]: processes repeatedly agree, via consensus instances, on
+// the next batch of messages to deliver. It is the paper's own Algorithm 1
+// (T_EC→ETOB) over a strong Sequence with the given quorum mode; since the
+// sequence agrees from instance 1, the broadcast satisfies the strong TOB
+// specification (τ = 0).
+func TOBFactory(mode QuorumMode) model.AutomatonFactory {
+	return transform.ECToETOBFactory(func(p model.ProcID, n int) transform.ECProtocol {
+		return NewSequence(p, n, mode)
+	})
 }
 
 func (s *Sequence) inst(i int) *seqInst {

@@ -1,10 +1,9 @@
-package tob
+package consensus
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -31,10 +30,10 @@ func runTOB(t *testing.T, factory model.AutomatonFactory, fp *model.FailurePatte
 	return rec, ids, settleAt
 }
 
-func TestFromConsensusIsStrongTOB(t *testing.T) {
+func TestTOBFactoryIsStrongTOB(t *testing.T) {
 	fp := model.NewFailurePattern(3)
 	det := fd.NewOmegaStable(fp, 1)
-	rec, ids, settleAt := runTOB(t, FromConsensus(consensus.MajorityQuorums), fp, det, 3, 5)
+	rec, ids, settleAt := runTOB(t, TOBFactory(MajorityQuorums), fp, det, 3, 5)
 	rep := trace.CheckETOB(rec, fp.Correct(), trace.CheckOptions{SettleTime: settleAt})
 	if !rep.OK() || !rep.StrongTOB() {
 		t.Fatalf("consensus-based TOB must be strong: τ=%d %+v", rep.Tau, rep)
@@ -46,14 +45,14 @@ func TestFromConsensusIsStrongTOB(t *testing.T) {
 	}
 }
 
-func TestFromConsensusStrongUnderChurnAndCrash(t *testing.T) {
+func TestTOBFactoryStrongUnderChurnAndCrash(t *testing.T) {
 	// Even with Ω churn and a crash, batches agree from instance 1: the
 	// delivered sequences never diverge (τ = 0).
 	fp := model.NewFailurePattern(5)
 	fp.Crash(5, 600)
 	det := fd.NewOmegaRotating(fp, 2, 900, 70)
 	rec := trace.NewRecorder(5)
-	k := sim.New(fp, det, FromConsensus(consensus.MajorityQuorums), sim.Options{Seed: 23})
+	k := sim.New(fp, det, TOBFactory(MajorityQuorums), sim.Options{Seed: 23})
 	k.SetObserver(rec)
 	var ids []string
 	for _, p := range model.Procs(5) {
@@ -72,18 +71,5 @@ func TestFromConsensusStrongUnderChurnAndCrash(t *testing.T) {
 	}
 	if rep.Tau != 0 {
 		t.Fatalf("strong TOB must never diverge: τ=%d (stab %d, order %d)", rep.Tau, rep.StabilityTau, rep.TotalOrderTau)
-	}
-}
-
-func TestPaxosLogAlias(t *testing.T) {
-	fp := model.NewFailurePattern(3)
-	det := fd.NewOmegaStable(fp, 1)
-	rec, ids, settleAt := runTOB(t, PaxosLog(consensus.MajorityQuorums), fp, det, 2, 7)
-	rep := trace.CheckETOB(rec, fp.Correct(), trace.CheckOptions{SettleTime: settleAt})
-	if !rep.OK() || !rep.StrongTOB() {
-		t.Fatalf("Paxos log via tob: τ=%d %+v", rep.Tau, rep)
-	}
-	if got := len(rec.FinalSeq(1)); got != len(ids) {
-		t.Errorf("delivered %d, want %d", got, len(ids))
 	}
 }

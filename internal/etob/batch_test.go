@@ -129,10 +129,19 @@ func runBurst(n int, factory model.AutomatonFactory, seed int64) *eventLog {
 // teeObserver fans kernel events out to two observers.
 type teeObserver struct{ a, b sim.Observer }
 
-func (t teeObserver) OnSend(tm model.Time, m sim.Message)            { t.a.OnSend(tm, m); t.b.OnSend(tm, m) }
-func (t teeObserver) OnDeliver(tm model.Time, m sim.Message)         { t.a.OnDeliver(tm, m); t.b.OnDeliver(tm, m) }
-func (t teeObserver) OnOutput(p model.ProcID, tm model.Time, v any)  { t.a.OnOutput(p, tm, v); t.b.OnOutput(p, tm, v) }
-func (t teeObserver) OnInput(p model.ProcID, tm model.Time, v any)   { t.a.OnInput(p, tm, v); t.b.OnInput(p, tm, v) }
+func (t teeObserver) OnSend(tm model.Time, m sim.Message) { t.a.OnSend(tm, m); t.b.OnSend(tm, m) }
+func (t teeObserver) OnDeliver(tm model.Time, m sim.Message) {
+	t.a.OnDeliver(tm, m)
+	t.b.OnDeliver(tm, m)
+}
+func (t teeObserver) OnOutput(p model.ProcID, tm model.Time, v any) {
+	t.a.OnOutput(p, tm, v)
+	t.b.OnOutput(p, tm, v)
+}
+func (t teeObserver) OnInput(p model.ProcID, tm model.Time, v any) {
+	t.a.OnInput(p, tm, v)
+	t.b.OnInput(p, tm, v)
+}
 
 func TestBatchIntraBatchCausality(t *testing.T) {
 	// Ops queued in one batch with nil deps must chain causally: the flush
@@ -198,7 +207,7 @@ func TestBatchDuplicateIDIgnored(t *testing.T) {
 	if st := a.BatchStats(); st.Queued != 1 || st.Ops != 1 {
 		t.Fatalf("queued duplicate accepted: %+v", st)
 	}
-	a.Tick(ctx) // flush "dup" into the graph
+	a.Tick(ctx)                                   // flush "dup" into the graph
 	a.Input(ctx, model.BroadcastInput{ID: "dup"}) // already-flushed duplicate
 	if st := a.BatchStats(); st.Queued != 0 || st.Ops != 1 {
 		t.Fatalf("flushed duplicate re-queued: %+v", st)

@@ -164,7 +164,7 @@ func (c *Cached) ValuesAt(ps []model.ProcID, ts []model.Time, out []any) []any {
 // Leader is the leadership-observation query: the Ω component of H(p, t) —
 // the leader currently output at process p's failure-detector module — served
 // through the same per-segment cache as Value, with ok=false when the wrapped
-// history has no Ω component (a plain Σ or ◇P history). The kernel's
+// history has no Ω component (a plain Σ or P history). The kernel's
 // leadership hook (sim.LeaderAware) is built on this method, which is how
 // protocol-aware network models such as adversary.LeaderStarver read the
 // run's current leader out of any detector's history segments without

@@ -8,9 +8,9 @@ import (
 	"repro/internal/model"
 )
 
-// cachedCases builds one detector of every class (and both reductions) over
-// a pattern with crashes before, at, and after the stabilization times, so
-// segment boundaries of every kind are exercised.
+// cachedCases builds one detector of every class over a pattern with crashes
+// before, at, and after the stabilization times, so segment boundaries of
+// every kind are exercised.
 func cachedCases() (map[string]Detector, *model.FailurePattern) {
 	fp := model.NewFailurePattern(5)
 	fp.Crash(4, 55)
@@ -22,10 +22,7 @@ func cachedCases() (map[string]Detector, *model.FailurePattern) {
 		"omega-split":    NewOmegaSplit(fp, 1, 2, 2, 260),
 		"sigma":          NewSigma(fp, 200),
 		"perfect":        NewPerfect(fp),
-		"diamond-p":      NewEventuallyPerfect(fp, 250),
 		"omega-sigma":    NewOmegaSigma(NewOmegaEventual(fp, 1, 300), NewSigma(fp, 200)),
-		"omega-from-dp":  NewOmegaFromSuspects(NewEventuallyPerfect(fp, 250), 5),
-		"ds-from-omega":  NewSuspectsFromOmega(NewOmegaEventual(fp, 2, 300), 5),
 	}, fp
 }
 

@@ -11,8 +11,6 @@
 //   - Σ  (Sigma): the quorum detector — any two output quorums intersect, and
 //     eventually all quorums output at correct processes contain only correct
 //     processes.
-//   - ◇P (EventuallyPerfect): eventually suspects exactly the crashed
-//     processes.
 //   - P  (Perfect): always suspects exactly the crashed processes.
 //   - Ω+Σ (OmegaSigma): the weakest detector for (strong) consistency in any
 //     environment, used by the strong baselines.
@@ -45,7 +43,7 @@ type OmegaValue = model.ProcID
 // SigmaValue is the range of Σ: a quorum of processes, sorted by ID.
 type SigmaValue []model.ProcID
 
-// SuspectValue is the range of P and ◇P: the set of currently suspected
+// SuspectValue is the range of P: the set of currently suspected
 // processes, sorted by ID.
 type SuspectValue []model.ProcID
 
@@ -206,7 +204,7 @@ func (s *Sigma) SegmentStart(_ model.ProcID, t model.Time) model.Time {
 }
 
 // ---------------------------------------------------------------------------
-// P and ◇P — (eventually) perfect
+// P — perfect
 // ---------------------------------------------------------------------------
 
 // Perfect is the perfect detector P: at any time it suspects exactly the
@@ -232,52 +230,6 @@ func (d *Perfect) Value(_ model.ProcID, t model.Time) any {
 // times, so the segment containing t starts at the latest crash ≤ t.
 func (d *Perfect) SegmentStart(_ model.ProcID, t model.Time) model.Time {
 	return latestCrashBy(d.fp, t)
-}
-
-// EventuallyPerfect is ◇P: before stab it may suspect arbitrary processes
-// (we suspect everyone with an ID of different parity — aggressively wrong);
-// from stab on it suspects exactly the crashed processes.
-type EventuallyPerfect struct {
-	fp   *model.FailurePattern
-	stab model.Time
-}
-
-var _ Detector = (*EventuallyPerfect)(nil)
-
-// NewEventuallyPerfect returns a ◇P history stabilizing at stab.
-func NewEventuallyPerfect(fp *model.FailurePattern, stab model.Time) *EventuallyPerfect {
-	return &EventuallyPerfect{fp: fp, stab: stab}
-}
-
-// Name implements Detector.
-func (d *EventuallyPerfect) Name() string { return "DiamondP" }
-
-// Value implements Detector.
-func (d *EventuallyPerfect) Value(p model.ProcID, t model.Time) any {
-	if t >= d.stab {
-		return crashedBy(d.fp, t)
-	}
-	// Wrong suspicions before stabilization: suspect every process whose ID
-	// parity differs from ours (includes correct processes).
-	out := make(SuspectValue, 0, d.fp.N())
-	for _, q := range model.Procs(d.fp.N()) {
-		if int(q)%2 != int(p)%2 {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// SegmentStart implements Segmented: one constant (parity-based) segment per
-// process before stab; from stab on, boundaries at stab and each later crash.
-func (d *EventuallyPerfect) SegmentStart(_ model.ProcID, t model.Time) model.Time {
-	if t < d.stab {
-		return 0
-	}
-	if c := latestCrashBy(d.fp, t); c > d.stab {
-		return c
-	}
-	return d.stab
 }
 
 // latestCrashBy returns the largest crash time ≤ t in fp, or 0 if no process

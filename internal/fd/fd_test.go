@@ -159,19 +159,6 @@ func TestPerfect(t *testing.T) {
 	}
 }
 
-func TestEventuallyPerfect(t *testing.T) {
-	fp := fp4()
-	d := NewEventuallyPerfect(fp, 200)
-	pre := d.Value(1, 0).(SuspectValue)
-	if len(pre) == 0 {
-		t.Error("◇P should be wrong before stabilization in this history")
-	}
-	post := d.Value(1, 250).(SuspectValue)
-	if len(post) != 1 || post[0] != 4 {
-		t.Errorf("post-stab suspects = %v, want [p4]", post)
-	}
-}
-
 func TestOmegaSigmaComposite(t *testing.T) {
 	fp := fp4()
 	d := NewOmegaSigma(NewOmegaStable(fp, 1), NewSigma(fp, 0))
@@ -213,10 +200,9 @@ func TestLeaderOfAndQuorumOf(t *testing.T) {
 func TestDetectorNames(t *testing.T) {
 	fp := fp4()
 	names := map[string]Detector{
-		"Omega":    NewOmegaStable(fp, 1),
-		"Sigma":    NewSigma(fp, 0),
-		"P":        NewPerfect(fp),
-		"DiamondP": NewEventuallyPerfect(fp, 10),
+		"Omega": NewOmegaStable(fp, 1),
+		"Sigma": NewSigma(fp, 0),
+		"P":     NewPerfect(fp),
 	}
 	for want, d := range names {
 		if d.Name() != want {

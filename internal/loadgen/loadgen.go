@@ -1,8 +1,9 @@
 // Package loadgen is the open-loop load harness for the replicated service:
 // it drives a configurable Poisson arrival stream of client operations over
-// many concurrent sessions into either the deterministic simulation kernel
-// (RunSim) or a live in-process cluster (RunLive), and measures per-operation
-// replication latency into log-bucketed histograms (Histogram).
+// many concurrent sessions into the deterministic simulation kernel (RunSim)
+// and measures per-operation replication latency into log-bucketed
+// histograms (Histogram). The live load measurement is the repo benchmark's
+// live-kv workload (perfbench/).
 //
 // Open loop means arrival times are drawn up front from the seeded arrival
 // process and never wait for completions — the harness measures the system's
@@ -10,8 +11,7 @@
 // rate the system itself permits (which hides queueing collapse: a slow
 // system slows its own clients and the numbers look fine).
 //
-// Two latencies are recorded per operation, in kernel ticks (RunSim) or
-// microseconds (RunLive), both from submission:
+// Two latencies are recorded per operation, in kernel ticks from submission:
 //
 //   - VISIBILITY — submit → applied at EVERY correct process (first
 //     application per process; the reading below).
@@ -30,12 +30,10 @@
 package loadgen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	goruntime "runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -43,54 +41,44 @@ import (
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/retransmit"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 	_ "repro/internal/sim/adversary" // registers the named network presets
 	"repro/internal/smr"
 )
 
+// The replica count and the settle budget are fixed: the harness measures a
+// three-replica stack, and a run may keep going settle ticks past the last
+// arrival before unresolved operations are declared stuck.
+const (
+	procs  = 3
+	settle = model.Time(60_000)
+)
+
 // Config parameterizes one load run.
 type Config struct {
-	// Procs is the number of replicas (default 3).
-	Procs int
 	// Ops is the total number of operations (default 10_000; the harness is
 	// sized for >= 10^6).
 	Ops int
-	// Rate is the mean arrival rate in operations per kernel tick (RunSim)
-	// or per LiveTick (RunLive). Default 0.2.
+	// Rate is the mean arrival rate in operations per kernel tick.
+	// Default 0.2.
 	Rate float64
 	// Sessions is the number of concurrent client sessions; each session has
-	// replica affinity (session mod Procs), like the front door's rendezvous
-	// ranking. Default 64.
+	// replica affinity (session mod the replica count), like the front
+	// door's rendezvous ranking. Default 64.
 	Sessions int
-	// Seed seeds the arrival process, the network model, and the default
+	// Seed seeds the arrival process, the network model, and the
 	// retransmission jitter. Default 1.
 	Seed int64
 	// Preset names the sim network environment ("uniform" or "" for the
 	// default clean network, "lossy", "hostile", ... — any registered
 	// sim preset; fault schedules attached to the preset apply too).
-	// RunSim only.
 	Preset string
 	// Batch configures ETOB broadcast batching for the replica stack; the
 	// zero value runs unbatched.
 	Batch etob.BatchOptions
-	// Retransmit overrides the retransmission options (default: seeded from
-	// Seed, no give-up).
-	Retransmit *retransmit.Options
-	// Settle is how long past the last arrival the run may keep going before
-	// unresolved operations are declared stuck, in ticks (RunSim; default
-	// 60_000) or as a wall duration via SettleWall (RunLive; default 60s).
-	Settle     model.Time
-	SettleWall time.Duration
-	// LiveTick is the live cluster's tick/heartbeat interval (RunLive;
-	// default 2ms, the production cadence).
-	LiveTick time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.Procs <= 0 {
-		c.Procs = 3
-	}
 	if c.Ops <= 0 {
 		c.Ops = 10_000
 	}
@@ -103,15 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Settle <= 0 {
-		c.Settle = 60_000
-	}
-	if c.SettleWall <= 0 {
-		c.SettleWall = 60 * time.Second
-	}
-	if c.LiveTick <= 0 {
-		c.LiveTick = 2 * time.Millisecond
-	}
 	return c
 }
 
@@ -123,20 +102,19 @@ type Result struct {
 	Ops        int
 	Resolved   int
 	Unresolved int
-	// Visible and Stable are the two latency histograms (ticks for RunSim,
-	// microseconds for RunLive); see the package comment.
+	// Visible and Stable are the two latency histograms in ticks; see the
+	// package comment.
 	Visible *Histogram
 	Stable  *Histogram
-	// WallMS is the run's wall-clock cost; StepsPerSec the kernel event rate
-	// (RunSim only); OpsPerSec resolved operations per wall second;
-	// AllocsPerOp heap allocations per offered operation (RunSim only —
-	// live-plane allocation is dominated by the harness's own pacing).
+	// WallMS is the run's wall-clock cost; StepsPerSec the kernel event
+	// rate; OpsPerSec resolved operations per wall second; AllocsPerOp heap
+	// allocations per offered operation.
 	WallMS      float64
 	StepsPerSec float64
 	OpsPerSec   float64
 	AllocsPerOp float64
-	// MessagesSent counts protocol messages on the wire (RunSim only) — the
-	// direct view of what batching amortizes.
+	// MessagesSent counts protocol messages on the wire — the direct view of
+	// what batching amortizes.
 	MessagesSent int64
 }
 
@@ -156,7 +134,7 @@ func opOf(cmd string) (int, bool) {
 }
 
 // tracker accumulates per-operation apply times. Indexing is flat
-// (op*n + proc-1); times are int64 in the caller's unit.
+// (op*n + proc-1); times are int64 ticks.
 type tracker struct {
 	n          int
 	submitAt   []int64
@@ -226,7 +204,7 @@ func (tr *tracker) result() (visible, stable *Histogram, unresolved int) {
 	return visible, stable, unresolved
 }
 
-// simObserver feeds the tracker from kernel events (single-threaded).
+// simObserver feeds the tracker from kernel events.
 type simObserver struct {
 	sim.NopObserver
 	tr *tracker
@@ -256,13 +234,9 @@ func (o *simObserver) OnOutput(p model.ProcID, t model.Time, v any) {
 
 // stackFactory builds the full Eventual replica stack under test.
 func stackFactory(cfg Config) model.AutomatonFactory {
-	rt := cfg.Retransmit
-	if rt == nil {
-		rt = &retransmit.Options{Seed: cfg.Seed}
-	}
 	return core.ReplicaStackWith(core.Eventual, core.StackOptions{
 		Machine:    smr.LogFactory,
-		Retransmit: rt,
+		Retransmit: &retransmit.Options{Seed: cfg.Seed},
 		Batch:      cfg.Batch,
 	})
 }
@@ -280,13 +254,13 @@ func RunSim(cfg Config) (Result, error) {
 		}
 		opts.Network = nf
 		if mkFaults := sim.PresetFaults(cfg.Preset); mkFaults != nil {
-			opts.Faults = mkFaults(cfg.Procs)
+			opts.Faults = mkFaults(procs)
 		}
 	}
-	fp := model.NewFailurePattern(cfg.Procs)
+	fp := model.NewFailurePattern(procs)
 	det := fd.NewOmegaStable(fp, 1)
 	k := sim.New(fp, det, stackFactory(cfg), opts)
-	tr := newTracker(cfg.Ops, cfg.Procs)
+	tr := newTracker(cfg.Ops, procs)
 	k.SetObserver(&simObserver{tr: tr})
 
 	// Draw the whole open-loop arrival schedule up front: Poisson arrivals
@@ -294,13 +268,13 @@ func RunSim(cfg Config) (Result, error) {
 	// deciding the replica, per-replica arrival ticks made strictly
 	// monotone so submission order is well defined.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	lastAt := make([]model.Time, cfg.Procs+1)
+	lastAt := make([]model.Time, procs+1)
 	at := 100.0
 	var horizon model.Time
 	for i := 0; i < cfg.Ops; i++ {
 		at += rng.ExpFloat64() / cfg.Rate
 		session := rng.Intn(cfg.Sessions)
-		p := model.ProcID(session%cfg.Procs + 1)
+		p := model.ProcID(session%procs + 1)
 		tick := model.Time(math.Ceil(at))
 		if tick <= lastAt[p] {
 			tick = lastAt[p] + 1
@@ -315,7 +289,7 @@ func RunSim(cfg Config) (Result, error) {
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	start := time.Now()
-	k.RunUntil(horizon+cfg.Settle, func(k *sim.Kernel) bool { return tr.resolved == cfg.Ops })
+	k.RunUntil(horizon+settle, func(k *sim.Kernel) bool { return tr.resolved == cfg.Ops })
 	wall := time.Since(start)
 	goruntime.ReadMemStats(&after)
 
@@ -333,100 +307,6 @@ func RunSim(cfg Config) (Result, error) {
 	if sec := wall.Seconds(); sec > 0 {
 		res.StepsPerSec = float64(k.Steps()) / sec
 		res.OpsPerSec = float64(tr.resolved) / sec
-	}
-	return res, nil
-}
-
-// liveObserver feeds the tracker from a live cluster's event loops
-// (concurrent: one goroutine per process), stamping wall microseconds.
-type liveObserver struct {
-	sim.NopObserver
-	mu    sync.Mutex
-	tr    *tracker
-	epoch time.Time
-}
-
-func (o *liveObserver) now() int64 { return time.Since(o.epoch).Microseconds() }
-
-func (o *liveObserver) OnOutput(p model.ProcID, _ model.Time, v any) {
-	a, ok := v.(smr.Applied)
-	if !ok {
-		return
-	}
-	t := o.now()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, id := range a.New {
-		if cmd, isCmd := smr.DecodeCommand(id); isCmd {
-			if i, isOp := opOf(cmd); isOp {
-				o.tr.apply(i, p, t)
-			}
-		}
-	}
-}
-
-func (o *liveObserver) resolvedCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tr.resolved
-}
-
-// RunLive executes one open-loop load run against a live in-process cluster
-// (runtime.Cluster: real event loops, channel transport) and returns its
-// measurements with latencies in wall microseconds. The arrival process is
-// the same seeded Poisson stream, paced in real time at Rate operations per
-// LiveTick.
-func RunLive(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Preset != "" && cfg.Preset != "uniform" {
-		return Result{}, fmt.Errorf("loadgen: network presets are sim-only; RunLive supports only the clean network (got %q)", cfg.Preset)
-	}
-	tr := newTracker(cfg.Ops, cfg.Procs)
-	obs := &liveObserver{tr: tr, epoch: time.Now()}
-	cluster := runtime.NewCluster(cfg.Procs, stackFactory(cfg), runtime.Options{
-		TickInterval:      cfg.LiveTick,
-		HeartbeatInterval: cfg.LiveTick,
-		Observer:          obs,
-	})
-	defer cluster.Stop()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	meanGap := float64(cfg.LiveTick) / cfg.Rate // mean interarrival in ns
-	start := time.Now()
-	next := time.Duration(0)
-	for i := 0; i < cfg.Ops; i++ {
-		next += time.Duration(rng.ExpFloat64() * meanGap)
-		if sleep := next - time.Since(start); sleep > 0 {
-			time.Sleep(sleep)
-		}
-		session := rng.Intn(cfg.Sessions)
-		p := model.ProcID(session%cfg.Procs + 1)
-		obs.mu.Lock()
-		tr.submit(i, obs.now())
-		obs.mu.Unlock()
-		cluster.Submit(p, smr.Command{Cmd: opCmd(i)})
-	}
-
-	deadline := time.Now().Add(cfg.SettleWall)
-	for obs.resolvedCount() < cfg.Ops && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	wall := time.Since(start)
-
-	obs.mu.Lock()
-	visible, stable, unresolved := tr.result()
-	resolved := tr.resolved
-	obs.mu.Unlock()
-	res := Result{
-		Ops:        cfg.Ops,
-		Resolved:   resolved,
-		Unresolved: unresolved,
-		Visible:    visible,
-		Stable:     stable,
-		WallMS:     float64(wall.Nanoseconds()) / 1e6,
-	}
-	if sec := wall.Seconds(); sec > 0 {
-		res.OpsPerSec = float64(resolved) / sec
 	}
 	return res, nil
 }

@@ -75,6 +75,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/etob"
 	"repro/internal/model"
@@ -87,13 +88,19 @@ import (
 
 // RegisterProtocolTypes registers the replica stack's full wire vocabulary
 // with the gob codec: retransmission envelopes and the broadcast protocol
-// messages they carry. Every process of a cluster must call it (node.New
-// does) before frames flow.
+// messages they carry — ETOB's for Eventual replicas, the Paxos log's for
+// Strong ones. Every process of a cluster must call it (node.New does)
+// before frames flow.
 func RegisterProtocolTypes() {
 	runtime.RegisterWireType(retransmit.Data{})
 	runtime.RegisterWireType(retransmit.Ack{})
 	runtime.RegisterWireType(etob.UpdateMsg{})
 	runtime.RegisterWireType(etob.PromoteMsg{})
+	runtime.RegisterWireType(consensus.SubmitMsg{})
+	runtime.RegisterWireType(consensus.PrepareMsg{})
+	runtime.RegisterWireType(consensus.PromiseMsg{})
+	runtime.RegisterWireType(consensus.AcceptMsg{})
+	runtime.RegisterWireType(consensus.AcceptedMsg{})
 }
 
 // DefaultGiveUpTicks is the node's default sender-side persistence bound:
@@ -666,20 +673,20 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // Status is the replica's introspection report (GET /status).
 type Status struct {
-	ID         int    `json:"id"`
-	N          int    `json:"n"`
-	Leader     int    `json:"leader"`
-	Applied    int    `json:"applied"`
-	Rebuilds   int    `json:"rebuilds"`
-	Accepted   int64  `json:"accepted"`
-	Rejected   int64  `json:"rejected"`
-	Degraded   bool   `json:"degraded"`
-	Dropped    int64  `json:"dropped"`
-	Injected   int64  `json:"injected,omitempty"` // faults injected by the chaos layer
-	Resends    int64  `json:"resends"`
-	Duplicates int64  `json:"duplicates"`
-	Pending    int    `json:"pending"`
-	Abandoned  int64  `json:"abandoned"`
+	ID         int   `json:"id"`
+	N          int   `json:"n"`
+	Leader     int   `json:"leader"`
+	Applied    int   `json:"applied"`
+	Rebuilds   int   `json:"rebuilds"`
+	Accepted   int64 `json:"accepted"`
+	Rejected   int64 `json:"rejected"`
+	Degraded   bool  `json:"degraded"`
+	Dropped    int64 `json:"dropped"`
+	Injected   int64 `json:"injected,omitempty"` // faults injected by the chaos layer
+	Resends    int64 `json:"resends"`
+	Duplicates int64 `json:"duplicates"`
+	Pending    int   `json:"pending"`
+	Abandoned  int64 `json:"abandoned"`
 	// Transport counters: frames dropped at the inbox (event loop too slow
 	// for the arrival rate), the writer's coalescing effectiveness —
 	// connection writes performed vs frames that rode an earlier write — and

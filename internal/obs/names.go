@@ -43,10 +43,10 @@ const (
 	MetricSMRRebuilds = "smr_rebuilds_total"
 
 	// Simulator kernel (internal/sim).
-	MetricKernelSteps       = "kernel_steps_total"
-	MetricKernelSent        = "kernel_messages_sent_total"
-	MetricKernelDropped     = "kernel_messages_dropped_total"
-	MetricKernelLost        = "kernel_messages_lost_total"
+	MetricKernelSteps   = "kernel_steps_total"
+	MetricKernelSent    = "kernel_messages_sent_total"
+	MetricKernelDropped = "kernel_messages_dropped_total"
+	MetricKernelLost    = "kernel_messages_lost_total"
 
 	// Live transport (internal/runtime TCPTransport + node fault layer).
 	MetricTransportDropped   = "transport_frames_dropped_total"

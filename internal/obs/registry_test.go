@@ -55,13 +55,13 @@ retransmit_resends_total 41
 		t.Fatalf("ParseText on own exposition: %v", err)
 	}
 	for key, v := range map[string]int64{
-		"node_accepted_total":                     7,
-		"kernel_steps_total":                      99000,
-		"retransmit_resends_total":                41,
-		"batch_target":                            12,
+		"node_accepted_total":                      7,
+		"kernel_steps_total":                       99000,
+		"retransmit_resends_total":                 41,
+		"batch_target":                             12,
 		`http_request_duration_us{quantile="0.5"}`: 5,
-		"http_request_duration_us_count":          10,
-		"http_request_duration_us_sum":            55,
+		"http_request_duration_us_count":           10,
+		"http_request_duration_us_sum":             55,
 	} {
 		if samples[key] != v {
 			t.Errorf("parsed %s = %d, want %d", key, samples[key], v)

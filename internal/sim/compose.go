@@ -115,4 +115,3 @@ func (c *ComposedNetwork) Delay(from, to model.ProcID, sendTime model.Time) (mod
 	}
 	return total, deliver
 }
-

@@ -130,7 +130,7 @@ func nopFactory() model.AutomatonFactory {
 
 type nopAuto struct{}
 
-func (nopAuto) Init(model.Context)                          {}
-func (nopAuto) Tick(model.Context)                          {}
-func (nopAuto) Recv(model.Context, model.ProcID, any)       {}
-func (nopAuto) Input(ctx model.Context, in any)             {}
+func (nopAuto) Init(model.Context)                    {}
+func (nopAuto) Tick(model.Context)                    {}
+func (nopAuto) Recv(model.Context, model.ProcID, any) {}
+func (nopAuto) Input(ctx model.Context, in any)       {}

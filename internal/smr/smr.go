@@ -8,8 +8,8 @@
 // sequence of a replica may be reordered, and the replica then rebuilds its
 // state from scratch (deterministic replay); after the ETOB stabilization
 // time τ, sequences only grow and replicas converge — the paper's "replicas
-// may diverge for a finite period". Over a strong TOB (internal/consensus,
-// internal/tob) the same code yields a strongly consistent service.
+// may diverge for a finite period". Over a strong TOB (internal/consensus)
+// the same code yields a strongly consistent service.
 //
 // Commands piggyback on broadcast message IDs ("<uniq>|<command>"), since
 // the broadcast abstractions order opaque message identifiers.
