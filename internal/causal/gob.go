@@ -12,7 +12,7 @@ import (
 // unexported by design; GobEncode/GobDecode serialize exactly the canonical
 // content — nodes in insertion order with their predecessor lists — and the
 // string→position index is rebuilt lazily on the receiving side, the same
-// way Clone defers it.
+// way Clone defers it. The lineage tag does not cross the wire.
 
 // graphWire is the encoded form of a Graph.
 type graphWire struct {
@@ -28,7 +28,8 @@ func (g *Graph) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder. The decoded graph owns its storage
-// (nothing aliases the wire buffer) and carries no index until first use.
+// (nothing aliases the wire buffer), carries no index until first use, and
+// belongs to no lineage.
 func (g *Graph) GobDecode(b []byte) error {
 	var w graphWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
@@ -38,8 +39,9 @@ func (g *Graph) GobDecode(b []byte) error {
 		return fmt.Errorf("causal: malformed graph encoding: %d nodes, %d predecessor lists",
 			len(w.Nodes), len(w.Preds))
 	}
-	g.nodes = w.Nodes
-	g.preds = w.Preds
-	g.index = nil // rebuilt lazily by ensureIndex, like a fresh Clone
+	// No index (rebuilt lazily by ensureIndex, like a fresh Clone) and no
+	// lineage: nothing says which earlier snapshot this one extends, so a
+	// receiver merges it in full.
+	*g = Graph{nodes: w.Nodes, preds: w.Preds}
 	return nil
 }

@@ -4,8 +4,8 @@
 // functions the algorithm manipulates it with:
 //
 //	UpdateCG(m, C(m))   → (*Graph).Add
-//	UnionCG(CG_j)       → (*Graph).Union
-//	UpdatePromote()     → (*Graph).Extend
+//	UnionCG(CG_j)       → (*Graph).Union, MergeSince
+//	UpdatePromote()     → (*Graph).Extend, ExtendSince
 //
 // Extend implements the paper's specification exactly: it returns a sequence
 // s such that the given prefix is a prefix of s, s contains every message of
@@ -14,17 +14,31 @@
 // makes promote sequences reproducible across runs: same-seed runs, and so
 // the golden experiment tables, are byte-identical.
 //
-// Storage is positional — nodes in insertion order with a parallel
-// predecessor table — so Clone is a copy-on-write snapshot: it copies slice
-// headers, not map entries. Every mutation appends past the clipped lengths
-// (or reallocates), so snapshots carried inside protocol messages can never
-// observe the owner's later updates. The string→position index is rebuilt
-// lazily on clones, and only if the clone is itself mutated or queried by ID;
-// the union path (MergeFrom) walks positions directly and never needs it.
+// Storage is positional and append-only — nodes in insertion order with a
+// parallel predecessor table — so Clone is an O(1) snapshot: it shares the
+// clipped node and predecessor slices. New nodes are appended past the
+// clipped lengths, where no snapshot looks. The only in-place change is a
+// late edge — an edge added to a node that already existed, such as a
+// placeholder dependency whose own dependencies arrive later — and those
+// are written copy-on-write, so a snapshot never observes a later update.
+// The string→position index is rebuilt lazily on clones, and only if the
+// clone is itself mutated or queried by ID; the union path walks positions
+// directly and never needs it.
+//
+// Because storage is append-only, a graph's history is a chain of snapshots
+// each a prefix of the next. A lineage tag names that chain: New allocates
+// one, Clone shares it, and a graph decoded from the wire has none. A Mark
+// (lineage, nodes, late edges) records how much of a chain a receiver has
+// absorbed, so MergeSince walks only the nodes past the mark, and ExtendSince
+// places only the nodes added since the last extension, as long as no late
+// edge changed the part already seen. Either falls back to the full walk
+// (Union, Extend) otherwise. A graph's mark changes exactly when the graph
+// does.
 package causal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,12 +48,33 @@ type Graph struct {
 	nodes []string   // insertion order (stable, deduplicated)
 	preds [][]string // preds[i] = C(nodes[i]), the direct causal predecessors
 	index map[string]int
+
+	lin    *lineage // chain of snapshots this graph belongs to; nil if decoded
+	ownLin bool     // this graph extends lin (New); clones start a new one on mutation
+	late   int      // edges added to a node that already existed
+	shared int      // preds[:shared] may be seen by a clone: written copy-on-write
+	cow    bool     // the preds array itself is still shared with a clone
+}
+
+// lineage identifies one append-only chain of snapshots. It has a field so
+// that distinct allocations have distinct addresses.
+type lineage struct{ _ byte }
+
+// Mark records how far a receiver has absorbed a lineage: the number of
+// nodes and the late-edge count of the last snapshot it merged. From the
+// zero Mark, MergeSince and ExtendSince assume nothing was seen.
+type Mark struct {
+	lin     *lineage
+	n, late int
 }
 
 // New returns an empty causality graph.
 func New() *Graph {
-	return &Graph{index: make(map[string]int)}
+	return &Graph{index: make(map[string]int), lin: new(lineage), ownLin: true}
 }
+
+// Mark returns g's current mark.
+func (g *Graph) Mark() Mark { return Mark{lin: g.lin, n: len(g.nodes), late: g.late} }
 
 // ensureIndex rebuilds the string→position index after a Clone dropped it.
 func (g *Graph) ensureIndex() {
@@ -52,6 +87,14 @@ func (g *Graph) ensureIndex() {
 	}
 }
 
+// mutate is called before every change. A clone that changes is no longer a
+// prefix of its source's later snapshots, so it starts a lineage of its own.
+func (g *Graph) mutate() {
+	if !g.ownLin {
+		g.lin, g.ownLin = new(lineage), true
+	}
+}
+
 // Add inserts message m with direct causal predecessors deps (UpdateCG).
 // Predecessors not yet present are inserted as nodes too, so the graph stays
 // closed under dependency. Re-adding an existing node merges dependency sets.
@@ -61,35 +104,30 @@ func (g *Graph) Add(m string, deps []string) {
 
 // AddReporting is Add with frontier bookkeeping support: it calls onNewEdge
 // for every predecessor it actually appends to m's dependency set (i.e. every
-// edge that is new to the graph), and reports whether the call changed the
-// graph at all (new node or new edge). Callers that track causal-successor
-// counts hook onNewEdge instead of diffing dependency snapshots.
-func (g *Graph) AddReporting(m string, deps []string, onNewEdge func(dep string)) (changed bool) {
+// edge that is new to the graph). Callers that track which messages have
+// causal successors hook onNewEdge instead of diffing dependency snapshots.
+func (g *Graph) AddReporting(m string, deps []string, onNewEdge func(dep string)) {
 	g.ensureIndex()
 	mi, fresh := g.addNode(m)
-	changed = fresh
 	for _, d := range deps {
-		if _, isNew := g.addNode(d); isNew {
-			changed = true
-		}
+		g.addNode(d)
 		if d == m {
 			continue // self-loops are meaningless; drop defensively
 		}
 		if !containsStr(g.preds[mi], d) {
-			g.preds[mi] = append(g.preds[mi], d)
-			changed = true
+			g.addPred(mi, d, fresh)
 			if onNewEdge != nil {
 				onNewEdge(d)
 			}
 		}
 	}
-	return changed
 }
 
 func (g *Graph) addNode(m string) (pos int, isNew bool) {
 	if i, ok := g.index[m]; ok {
 		return i, false
 	}
+	g.mutate()
 	i := len(g.nodes)
 	g.index[m] = i
 	g.nodes = append(g.nodes, m)
@@ -97,26 +135,59 @@ func (g *Graph) addNode(m string) (pos int, isNew bool) {
 	return i, true
 }
 
-// Union merges other into g (UnionCG).
-func (g *Graph) Union(other *Graph) {
-	g.MergeFrom(other, nil)
+// addPred appends d to C(nodes[i]). An edge on a node that was not created
+// by this same AddReporting call is late. Entries a clone can see are
+// written copy-on-write: the preds array is copied once per Clone, and the
+// list itself is clipped so the append reallocates.
+func (g *Graph) addPred(i int, d string, fresh bool) {
+	g.mutate()
+	if !fresh {
+		g.late++
+	}
+	ps := g.preds[i]
+	if i < g.shared {
+		if g.cow {
+			g.preds = slices.Clone(g.preds)
+			g.cow = false
+		}
+		ps = ps[:len(ps):len(ps)]
+	}
+	g.preds[i] = append(ps, d)
 }
 
-// MergeFrom merges other into g, calling onNewEdge for every edge that is new
-// to g (once per appended predecessor, in other's insertion order) and
-// reporting whether g changed. It walks other's positional storage directly,
-// so snapshots without an index merge without rebuilding one and no
-// dependency copies materialize on this path.
-func (g *Graph) MergeFrom(other *Graph, onNewEdge func(dep string)) (changed bool) {
+// Union merges all of other into g (UnionCG): MergeSince from the zero Mark.
+func (g *Graph) Union(other *Graph) {
+	g.MergeSince(other, Mark{}, nil)
+}
+
+// MergeSince merges other into g given m, the mark an earlier MergeSince
+// into g returned for other's sender, and returns the mark to pass next
+// time. It calls onNewEdge for every edge that is new to g, once per
+// appended predecessor, in other's insertion order.
+//
+// If other continues m's lineage with no new late edge, only the nodes past
+// m are walked, and a snapshot no newer than m is skipped: its content is
+// already in g. A different or missing lineage (a restarted sender, a graph
+// decoded from the wire) or new late edges fall back to walking all of
+// other. Either way the walk reads other's positional storage directly, so
+// snapshots without an index merge without rebuilding one.
+func (g *Graph) MergeSince(other *Graph, m Mark, onNewEdge func(dep string)) Mark {
 	if other == nil {
-		return false
+		return m
 	}
-	for i, m := range other.nodes {
-		if g.AddReporting(m, other.preds[i], onNewEdge) {
-			changed = true
+	start := 0
+	if other.lin != nil && other.lin == m.lin {
+		if other.late < m.late || (other.late == m.late && len(other.nodes) <= m.n) {
+			return m
+		}
+		if other.late == m.late {
+			start = m.n
 		}
 	}
-	return changed
+	for i := start; i < len(other.nodes); i++ {
+		g.AddReporting(other.nodes[i], other.preds[i], onNewEdge)
+	}
+	return other.Mark()
 }
 
 // Has reports whether m is a node of the graph.
@@ -142,6 +213,12 @@ func (g *Graph) Nodes() []string {
 	return append([]string(nil), g.nodes...)
 }
 
+// NodesFrom returns the messages at insertion positions i and later, as a
+// read-only view of the graph's storage.
+func (g *Graph) NodesFrom(i int) []string {
+	return g.nodes[i:len(g.nodes):len(g.nodes)]
+}
+
 // Deps returns the direct causal predecessors of m (copy).
 func (g *Graph) Deps(m string) []string {
 	g.ensureIndex()
@@ -152,21 +229,23 @@ func (g *Graph) Deps(m string) []string {
 	return append([]string(nil), g.preds[i]...)
 }
 
-// Clone returns an independent copy of the graph. Protocol messages carry
-// clones so that in-memory kernels cannot alias mutable state across
-// processes. The copy is O(nodes) slice-header work: the node and
-// predecessor arrays are shared copy-on-write (clipped so any later append —
-// by the owner or the clone — reallocates instead of overwriting), and the
-// index is rebuilt lazily only if the clone is mutated or queried by ID.
+// Clone returns a snapshot of the graph in O(1): it shares g's lineage and
+// its node and predecessor slices, clipped to their current lengths. Later
+// nodes of either graph are appended past the clip, and late edges are
+// written copy-on-write (see addPred), so neither graph ever observes the
+// other's later updates. The index is rebuilt lazily, only if the clone is
+// mutated or queried by ID. A clone that is mutated leaves g's lineage.
 func (g *Graph) Clone() *Graph {
-	cp := &Graph{
-		nodes: g.nodes[:len(g.nodes):len(g.nodes)],
-		preds: make([][]string, len(g.preds)),
+	n := len(g.nodes)
+	g.shared, g.cow = n, true
+	return &Graph{
+		nodes:  g.nodes[:n:n],
+		preds:  g.preds[:n:n],
+		lin:    g.lin,
+		late:   g.late,
+		shared: n,
+		cow:    true,
 	}
-	for i, ps := range g.preds {
-		cp.preds[i] = ps[:len(ps):len(ps)]
-	}
-	return cp
 }
 
 // Extend implements UpdatePromote: it returns a sequence that (a) has prefix
@@ -174,10 +253,11 @@ func (g *Graph) Clone() *Graph {
 // every edge of g. Nodes already in prefix keep their positions; missing
 // nodes are appended in Kahn topological order with lexicographic tie-breaks.
 //
-// Extend reports an error if the graph has a dependency cycle or if prefix
-// itself already violates an edge of the graph between two prefix members
-// (neither can arise from Algorithm 5's closed-graph updates; the error guards
-// against protocol bugs).
+// Extend reports an error if the graph has a dependency cycle, or if prefix
+// cannot be kept while respecting every edge: a prefix member that depends on
+// a later prefix member, or on a node outside the prefix (neither can arise
+// from Algorithm 5's closed-graph updates; the error guards against protocol
+// bugs).
 func (g *Graph) Extend(prefix []string) ([]string, error) {
 	inPrefix := make(map[string]int, len(prefix))
 	for i, m := range prefix {
@@ -186,65 +266,102 @@ func (g *Graph) Extend(prefix []string) ([]string, error) {
 		}
 		inPrefix[m] = i
 	}
-	// Check prefix consistency against edges among prefix members.
 	g.ensureIndex()
-	for m, i := range inPrefix {
-		if mi, ok := g.index[m]; ok {
-			for _, d := range g.preds[mi] {
-				if j, ok := inPrefix[d]; ok && j > i {
-					return nil, fmt.Errorf("causal: prefix violates edge (%q before %q)", d, m)
-				}
-			}
-		}
-	}
-
-	out := append(make([]string, 0, len(g.nodes)+len(prefix)), prefix...)
-
-	// Kahn's algorithm over the nodes not in prefix. Edges from prefix nodes
-	// are already satisfied.
-	indeg := make(map[string]int)
-	succs := make(map[string][]string)
-	var missing []string
-	for i, m := range g.nodes {
-		if _, ok := inPrefix[m]; ok {
+	for i, m := range prefix {
+		mi, ok := g.index[m]
+		if !ok {
 			continue
 		}
-		missing = append(missing, m)
-		for _, d := range g.preds[i] {
-			if _, ok := inPrefix[d]; ok {
-				continue
+		for _, d := range g.preds[mi] {
+			j, ok := inPrefix[d]
+			if !ok {
+				return nil, fmt.Errorf("causal: prefix member %q depends on %q outside the prefix", m, d)
 			}
-			indeg[m]++
-			succs[d] = append(succs[d], m)
+			if j > i {
+				return nil, fmt.Errorf("causal: prefix violates edge (%q before %q)", d, m)
+			}
 		}
 	}
-	var ready []string
-	for _, m := range missing {
-		if indeg[m] == 0 {
-			ready = append(ready, m)
+	slot := make([]int, len(g.nodes))
+	var missing []int
+	for p, m := range g.nodes {
+		if _, ok := inPrefix[m]; ok {
+			slot[p] = -1
+			continue
+		}
+		slot[p] = len(missing)
+		missing = append(missing, p)
+	}
+	out := append(make([]string, 0, len(prefix)+len(missing)), prefix...)
+	return g.kahn(out, missing, func(p int) int { return slot[p] })
+}
+
+// ExtendSince is Extend(seq) for the case UpdatePromote meets: seq is what
+// Extend or ExtendSince returned when g's mark was m, so it holds exactly the
+// first m.n nodes, in an order that respects every edge among them. If no
+// late edge has been added since, no edge into those nodes changed, and
+// placing the nodes added after them — Kahn over those alone — returns what
+// Extend(seq) would, in O(new nodes + their edges). Otherwise, or if seq and
+// m do not fit g, it is Extend(seq). The new nodes are appended to seq in
+// place, so callers that handed out views of seq must have clipped them.
+func (g *Graph) ExtendSince(seq []string, m Mark) ([]string, error) {
+	if m.lin == nil || m.lin != g.lin || m.late != g.late || m.n != len(seq) || m.n > len(g.nodes) {
+		return g.Extend(seq)
+	}
+	g.ensureIndex()
+	missing := make([]int, len(g.nodes)-m.n)
+	for s := range missing {
+		missing[s] = m.n + s
+	}
+	return g.kahn(seq, missing, func(p int) int { return p - m.n })
+}
+
+// kahn appends the nodes at positions missing to out in topological order,
+// always taking the lexicographically least ready node. slotOf maps a
+// position to its index in missing, or to a negative number if that node is
+// already placed. g's index must be built.
+func (g *Graph) kahn(out []string, missing []int, slotOf func(pos int) int) ([]string, error) {
+	indeg := make([]int, len(missing))
+	succs := make([][]int, len(missing))
+	for s, p := range missing {
+		for _, d := range g.preds[p] {
+			q, ok := g.index[d]
+			if !ok {
+				return nil, fmt.Errorf("causal: %q depends on %q, which is not a node", g.nodes[p], d)
+			}
+			if t := slotOf(q); t >= 0 {
+				indeg[s]++
+				succs[t] = append(succs[t], s)
+			}
 		}
 	}
-	sort.Strings(ready)
-	appended := 0
+	name := func(s int) string { return g.nodes[missing[s]] }
+	var ready []int // slots with no unplaced predecessor, sorted by name
+	push := func(s int) {
+		i, _ := slices.BinarySearchFunc(ready, name(s), func(r int, key string) int {
+			return strings.Compare(name(r), key)
+		})
+		ready = slices.Insert(ready, i, s)
+	}
+	for s := range missing {
+		if indeg[s] == 0 {
+			push(s)
+		}
+	}
+	placed := 0
 	for len(ready) > 0 {
-		m := ready[0]
+		s := ready[0]
 		ready = ready[1:]
-		out = append(out, m)
-		appended++
-		newly := make([]string, 0, len(succs[m]))
-		for _, s := range succs[m] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				newly = append(newly, s)
+		out = append(out, name(s))
+		placed++
+		for _, t := range succs[s] {
+			if indeg[t]--; indeg[t] == 0 {
+				push(t)
 			}
 		}
-		if len(newly) > 0 {
-			ready = append(ready, newly...)
-			sort.Strings(ready)
-		}
 	}
-	if appended != len(missing) {
-		return nil, fmt.Errorf("causal: dependency cycle among %d messages", len(missing)-appended)
+	if placed != len(missing) {
+		return nil, fmt.Errorf("causal: dependency cycle among %d messages", len(missing)-placed)
 	}
 	return out, nil
 }

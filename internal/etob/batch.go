@@ -1,6 +1,10 @@
 package etob
 
-import "repro/internal/model"
+import (
+	"slices"
+
+	"repro/internal/model"
+)
 
 // This file is the batching layer of Algorithm 5: coalescing k pending
 // broadcastETOB invocations into ONE update(CG_i) message. The protocol makes
@@ -27,7 +31,8 @@ import "repro/internal/model"
 // with nil deps takes the causal frontier as of its own UpdateCG, which by
 // then includes every earlier op of the same batch — intra-batch causality
 // (op_2 after op_1) is preserved exactly as if the ops had been broadcast
-// individually. Explicit deps pass through untouched.
+// individually. Explicit deps pass through, less any that CG_i does not hold
+// at flush time, as on the unbatched path (see Input).
 //
 // Degeneration: with MaxBatch <= 1 and Adaptive off, BroadcastETOB takes the
 // historical immediate path — the queue is never touched, and every trace is
@@ -138,10 +143,9 @@ func (a *Automaton) enqueue(ctx model.Context, id string, deps []string) {
 	if a.cg.Has(id) || a.inQueue(id) {
 		return // duplicate broadcast of the same ID: ignore, as unbatched does
 	}
-	if deps != nil {
-		deps = append([]string(nil), deps...) // callers may reuse their slice
-	}
-	a.pending = append(a.pending, pendingOp{id: id, deps: deps})
+	// Callers may reuse their slice. slices.Clone keeps an explicit empty
+	// C(m) non-nil, so it is not mistaken for a request for the frontier.
+	a.pending = append(a.pending, pendingOp{id: id, deps: slices.Clone(deps)})
 	a.batchedOps++
 	if len(a.pending) >= a.target {
 		a.flush(ctx, true)
@@ -175,11 +179,7 @@ func (a *Automaton) flush(ctx model.Context, full bool) {
 	}
 	for i := range a.pending {
 		op := &a.pending[i]
-		deps := op.deps
-		if deps == nil {
-			deps = a.frontier()
-		}
-		a.updateCG(op.id, deps)
+		a.updateCG(op.id, a.resolveDeps(op.deps))
 		if ids != nil {
 			ids = append(ids, op.id)
 		}

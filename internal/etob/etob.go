@@ -44,8 +44,10 @@ import (
 	"repro/internal/model"
 )
 
-// UpdateMsg is the update(CG_i) message: the sender's causality graph.
-// Receivers only read the graph, so a single clone per send is safe.
+// UpdateMsg is the update(CG_i) message: the sender's causality graph. CG is
+// an O(1) snapshot (causal.Graph.Clone) that shares storage with the
+// sender's live graph: a read-only view, which receivers merge but never
+// mutate. In-process receivers absorb it incrementally (see unionCG).
 type UpdateMsg struct {
 	CG *causal.Graph
 }
@@ -57,6 +59,10 @@ type UpdateMsg struct {
 // older than the last one adopted from the same sender — the standard fix,
 // equivalent to the FIFO adoption the paper's Lemma 3 proof implicitly uses
 // (it matches d_i(t1), d_i(t2) with promote_j(t3), promote_j(t4), t3 ≤ t4).
+//
+// Seq is a clipped view of the sender's append-only promote_i, not a copy,
+// and a receiver adopts it as d_i as is: it is read-only, shared with the
+// sender and with every other receiver.
 type PromoteMsg struct {
 	Seq     []string
 	Counter int64
@@ -67,21 +73,22 @@ type Automaton struct {
 	self model.ProcID
 	n    int
 
-	d       []string       // d_i: output sequence
-	promote []string       // promote_i
-	cg      *causal.Graph  // CG_i
-	succ    map[string]int // # of known causal successors per message (frontier tracking)
+	d       []string      // d_i: output sequence (read-only: may be a leader's view)
+	promote []string      // promote_i, append-only between UpdatePromote fallbacks
+	cg      *causal.Graph // CG_i
+
+	// front is the causal frontier of CG_i's first synced nodes: those no
+	// known message depends on. A node joins when it is added and leaves
+	// for good when it gains a successor (coverEdge), so the default C(m)
+	// costs the frontier's size, not CG_i's.
+	front  map[string]struct{}
+	synced int
+
+	marks    map[model.ProcID]causal.Mark // per sender: how much of its CG_j is merged
+	promoted causal.Mark                  // CG_i's mark when promote_i was last extended
 
 	promoteCtr int64                  // counter stamped on our promote messages
 	lastCtr    map[model.ProcID]int64 // highest promote counter adopted per sender
-
-	// cgDirty is set when CG_i gained a node or edge since the last
-	// UpdatePromote. Extend is a pure function of (graph, prefix) and
-	// promote_i already contains every node after each UpdatePromote, so an
-	// update that adds nothing would extend to the identical sequence —
-	// skipping it is behavior-preserving and removes the dominant cost of
-	// redundant update floods.
-	cgDirty bool
 
 	// Batching layer (batch.go): queued broadcastETOB invocations awaiting
 	// one coalesced update(CG_i). Inert — never touched — unless
@@ -105,12 +112,15 @@ var _ model.Automaton = (*Automaton)(nil)
 
 // New returns the Algorithm 5 automaton for process p of n.
 func New(p model.ProcID, n int) *Automaton {
+	cg := causal.New()
 	return &Automaton{
-		self:    p,
-		n:       n,
-		cg:      causal.New(),
-		succ:    make(map[string]int),
-		lastCtr: make(map[model.ProcID]int64),
+		self:     p,
+		n:        n,
+		cg:       cg,
+		front:    make(map[string]struct{}),
+		marks:    make(map[model.ProcID]causal.Mark),
+		promoted: cg.Mark(),
+		lastCtr:  make(map[model.ProcID]int64),
 	}
 }
 
@@ -126,6 +136,10 @@ func (a *Automaton) Init(model.Context) {}
 // broadcastETOB(m, C(m)). A nil Deps asks the protocol to use the causal
 // frontier of everything this process has seen (so that both "p sent m1 then
 // m2" and "p received m1 then sent m2" of the →_R relation are captured).
+// Explicit Deps are taken as given, except that those CG_i does not hold are
+// dropped: under →_R, C(m) is what p sent or received, and an unknown ID
+// would enter CG_i as a placeholder whose own dependencies could only arrive
+// later, as edges into a promote_i that has already ordered it.
 func (a *Automaton) Input(ctx model.Context, in any) {
 	b, ok := in.(model.BroadcastInput)
 	if !ok {
@@ -146,10 +160,7 @@ func (a *Automaton) BroadcastETOB(ctx model.Context, id string, deps []string) {
 	if a.cg.Has(id) {
 		return // duplicate broadcast of the same ID: ignore
 	}
-	if deps == nil {
-		deps = a.frontier()
-	}
-	a.updateCG(id, deps)
+	a.updateCG(id, a.resolveDeps(deps))
 	ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	if a.onFlush != nil {
 		a.onFlush([]string{id})
@@ -178,7 +189,7 @@ func (a *Automaton) Undelivered() int {
 func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 	switch m := payload.(type) {
 	case UpdateMsg:
-		a.unionCG(m.CG)
+		a.unionCG(from, m.CG)
 		a.updatePromote()
 	case PromoteMsg:
 		leader, ok := fd.LeaderOf(ctx.FD())
@@ -190,7 +201,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 		}
 		a.lastCtr[from] = m.Counter
 		if !equalSeq(a.d, m.Seq) {
-			a.d = append(a.d[:0:0], m.Seq...)
+			a.d = m.Seq
 			ctx.Output(model.SeqSnapshot{Seq: a.d})
 		}
 	}
@@ -208,34 +219,66 @@ func (a *Automaton) Tick(ctx model.Context) {
 		return
 	}
 	a.promoteCtr++
-	ctx.Broadcast(PromoteMsg{Seq: append([]string(nil), a.promote...), Counter: a.promoteCtr})
+	n := len(a.promote)
+	ctx.Broadcast(PromoteMsg{Seq: a.promote[:n:n], Counter: a.promoteCtr})
 }
 
-// updateCG is the paper's UpdateCG(m, C(m)). Successor counts advance once
-// per edge that is new to CG_i, which AddReporting surfaces directly —
-// missing succ keys read as zero, so no explicit zero entry is needed.
+// resolveDeps returns C(m) for a broadcast: the causal frontier for nil
+// deps, otherwise the explicit deps that CG_i holds (see Input).
+func (a *Automaton) resolveDeps(deps []string) []string {
+	if deps == nil {
+		return a.frontier()
+	}
+	known := make([]string, 0, len(deps))
+	for _, d := range deps {
+		if a.cg.Has(d) {
+			known = append(known, d)
+		}
+	}
+	return known
+}
+
+// updateCG is the paper's UpdateCG(m, C(m)), keeping the frontier in sync.
 func (a *Automaton) updateCG(m string, deps []string) {
-	if a.cg.AddReporting(m, deps, func(d string) { a.succ[d]++ }) {
-		a.cgDirty = true
-	}
+	a.cg.AddReporting(m, deps, a.coverEdge)
+	a.syncFront()
 }
 
-// unionCG is the paper's UnionCG(CG_j), keeping frontier bookkeeping in sync.
-func (a *Automaton) unionCG(other *causal.Graph) {
-	if a.cg.MergeFrom(other, func(d string) { a.succ[d]++ }) {
-		a.cgDirty = true
+// unionCG is the paper's UnionCG(CG_j), keeping the frontier in sync. The
+// mark kept per sender lets an in-process snapshot that extends the last one
+// merged from that sender cost only its new nodes (causal.MergeSince).
+func (a *Automaton) unionCG(from model.ProcID, other *causal.Graph) {
+	a.marks[from] = a.cg.MergeSince(other, a.marks[from], a.coverEdge)
+	a.syncFront()
+}
+
+// syncFront adds the nodes CG_i gained since the last sync to the frontier.
+func (a *Automaton) syncFront() {
+	for _, m := range a.cg.NodesFrom(a.synced) {
+		a.front[m] = struct{}{}
 	}
+	a.synced = a.cg.Len()
+}
+
+// coverEdge is the new-edge hook of every CG_i update: dep now has a
+// successor. Nodes are added before the edges that name them, so syncing
+// first lets a node that gains a successor in the same update leave.
+func (a *Automaton) coverEdge(dep string) {
+	a.syncFront()
+	delete(a.front, dep)
 }
 
 // updatePromote is the paper's UpdatePromote(): extend promote_i to a
 // sequence containing all of CG_i once, respecting every edge, with the old
-// promote_i as a prefix. When CG_i has not changed since the last extension,
-// promote_i already contains every node and Extend would return it unchanged.
+// promote_i as a prefix. promote_i holds exactly the nodes CG_i had at the
+// last extension, so ExtendSince places only the ones added since; when CG_i
+// has not changed (its mark has not moved), there is nothing to place, and
+// skipping the call removes the cost of redundant update floods.
 func (a *Automaton) updatePromote() {
-	if !a.cgDirty {
+	if a.cg.Mark() == a.promoted {
 		return
 	}
-	next, err := a.cg.Extend(a.promote)
+	next, err := a.cg.ExtendSince(a.promote, a.promoted)
 	if err != nil {
 		// Cannot occur in Algorithm 5: update messages carry dependency-closed
 		// graphs, so the promote prefix never violates a new edge. A failure
@@ -243,17 +286,15 @@ func (a *Automaton) updatePromote() {
 		panic(fmt.Sprintf("etob: UpdatePromote invariant violated at %v: %v", a.self, err))
 	}
 	a.promote = next
-	a.cgDirty = false
+	a.promoted = a.cg.Mark()
 }
 
 // frontier returns the causal frontier: all known messages with no known
 // successor, in deterministic (sorted) order. Used as the default C(m).
 func (a *Automaton) frontier() []string {
-	var out []string
-	for _, m := range a.cg.Nodes() {
-		if a.succ[m] == 0 {
-			out = append(out, m)
-		}
+	out := make([]string, 0, len(a.front))
+	for m := range a.front {
+		out = append(out, m)
 	}
 	sort.Strings(out)
 	return out
@@ -271,6 +312,9 @@ func (a *Automaton) KnownMessages() int { return a.cg.Len() }
 func equalSeq(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true // same memory: adopted views of one promote_i
 	}
 	for i := range a {
 		if a[i] != b[i] {
