@@ -47,6 +47,7 @@ func e11Spec(opts Options) spec {
 			fmt.Sprintf("n=%d, Algorithm 4 driven through %d instances, stable leader p1; adversary.Lossy, bursts up to 4", n, instances),
 			"instances decided = min over processes of the consecutively-decided prefix",
 			"a process that misses the leader's single promote for an instance is stuck there forever (raw mode)",
+			"retransmit resends no sooner than the link's measured timeout (SRTT + 4·RTTVAR, at least 3 ticks): a lost envelope waits about one round trip, which converged at pays under loss",
 		},
 	}}
 	for _, rate := range rates {

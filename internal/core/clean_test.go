@@ -1,0 +1,79 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/retransmit"
+)
+
+// cleanStackRun drives the deployed Eventual stack (retransmission on) over
+// the kernel's default uniform network with a stable Ω: `writes` writes
+// round-robin over n=3 replicas, one every 6 time units (about one per
+// tick), run until every replica has applied all of them in the same order.
+// It returns the service, whether it converged, and the total resends.
+func cleanStackRun(seed int64, writes int) (*SimService, bool, int64) {
+	const n = 3
+	svc := NewSimService(Config{N: n, Retransmit: true, Sim: simSeed(seed)})
+	last := model.Time(30 + 6*(writes-1))
+	for i := 0; i < writes; i++ {
+		svc.Submit(model.ProcID(1+i%n), model.Time(30+6*i), fmt.Sprintf("set k%d v%d", i%64, i))
+	}
+	svc.Run(last) // RunUntilConverged waits only for writes already broadcast
+	ok := svc.RunUntilConverged(last + 20000)
+	var resends int64
+	for _, p := range model.Procs(n) {
+		resends += svc.Kernel().Automaton(p).(*retransmit.Automaton).Resends()
+	}
+	return svc, ok, resends
+}
+
+// TestCleanNetworkRetransmitCost is the tier-1 guard on what retransmission
+// costs when nothing is lost. The uniform network's round trip (20–40 time
+// units) exceeds the fixed 3-tick initial timeout (15), so without a measured
+// per-link timeout every first transmission was resent while its ack was in
+// flight (~6 resends and ~25 kernel messages per write); and every per-tick
+// promote kept being resent after a newer one had superseded it.
+func TestCleanNetworkRetransmitCost(t *testing.T) {
+	const writes = 300
+	svc, ok, resends := cleanStackRun(1, writes)
+	if !ok {
+		t.Fatal("clean-network stack did not converge")
+	}
+	if per := float64(resends) / writes; per >= 0.5 {
+		t.Errorf("resends per write = %.2f, want < 0.5 on a loss-free network", per)
+	}
+	if per := float64(svc.Kernel().MessagesSent()) / writes; per >= 17 {
+		t.Errorf("kernel messages per write = %.2f, want < 17", per)
+	}
+	if rep := svc.Report(); !rep.StrongTOB() {
+		t.Errorf("stable-leader run is not TOB: %+v", rep)
+	}
+	ref := svc.Snapshot(1)
+	for _, p := range []model.ProcID{2, 3} {
+		if got := svc.Snapshot(p); got != ref {
+			t.Errorf("replica %v snapshot differs from replica 1:\n%s\nvs\n%s", p, got, ref)
+		}
+	}
+}
+
+// BenchmarkReplicaStackClean reports the clean-network message cost per
+// write (msgs/op, resends/op) next to its wall time, so a return of
+// spurious resends shows in benchmark logs.
+func BenchmarkReplicaStackClean(b *testing.B) {
+	const writes = 300
+	b.ReportAllocs()
+	var msgs, resends int64
+	for i := 0; i < b.N; i++ {
+		svc, ok, r := cleanStackRun(1, writes)
+		if !ok {
+			b.Fatal("clean-network stack did not converge")
+		}
+		msgs += svc.Kernel().MessagesSent()
+		resends += r
+	}
+	ops := float64(b.N * writes)
+	b.ReportMetric(float64(msgs)/ops, "msgs/op")
+	b.ReportMetric(float64(resends)/ops, "resends/op")
+}

@@ -73,6 +73,8 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		{obs.MetricRetransmitDuplicates, w.Duplicates()},
 		{obs.MetricRetransmitAbandoned, w.Abandoned()},
 		{obs.MetricRetransmitPending, int64(w.PendingEnvelopes())},
+		{obs.MetricRetransmitSuperseded, w.Superseded()},
+		{obs.MetricRetransmitRTO, int64(w.LearnedRTO())},
 		{obs.MetricSMRApplied, int64(rep.AppliedCount())},
 		{obs.MetricSMRRebuilds, int64(rep.Rebuilds())},
 		{obs.MetricBatchFlushes, bs.Flushes},
@@ -92,6 +94,12 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 	// equalities above are vacuous.
 	if reg.Value(obs.MetricRetransmitResends) == 0 {
 		t.Error("lossy run produced no resends; parity check is vacuous")
+	}
+	if reg.Value(obs.MetricRetransmitSuperseded) == 0 {
+		t.Error("leader's per-tick promotes superseded nothing; parity check is vacuous")
+	}
+	if rto := reg.Value(obs.MetricRetransmitRTO); rto < 3 || rto > 48 {
+		t.Errorf("retransmit_rto_ticks = %d, want within the default [RTO, MaxRTO] = [3, 48]", rto)
 	}
 	if reg.Value(obs.MetricSMRApplied) != 8 {
 		t.Errorf("smr_applied_total = %d, want 8", reg.Value(obs.MetricSMRApplied))
@@ -127,6 +135,9 @@ func TestCollectStackMetricsBareStack(t *testing.T) {
 	}
 	if got := reg.Value(obs.MetricRetransmitResends); got != 0 {
 		t.Errorf("unwrapped stack reports resends = %d, want 0", got)
+	}
+	if got := reg.Value(obs.MetricRetransmitRTO); got != 0 {
+		t.Errorf("unwrapped stack reports retransmit_rto_ticks = %d, want 0", got)
 	}
 	if got := reg.Value(obs.MetricBatchFlushes); got != 0 {
 		t.Errorf("unbatched stack reports batch flushes = %d, want 0", got)

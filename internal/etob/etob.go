@@ -63,10 +63,20 @@ type UpdateMsg struct {
 // Seq is a clipped view of the sender's append-only promote_i, not a copy,
 // and a receiver adopts it as d_i as is: it is read-only, shared with the
 // sender and with every other receiver.
+//
+// A promote supersedes its sender's previous one (retransmit.Superseding):
+// Algorithm 5 needs only the leader's latest promote_i to reach everyone
+// after τ, and it carries the whole sequence, so a retransmission layer stops
+// resending an older promote once a newer one is on the link. A late copy of
+// an older promote that is already in flight can still arrive after a newer
+// one; the counter guard above drops it.
 type PromoteMsg struct {
 	Seq     []string
 	Counter int64
 }
+
+// SupersedesPrevious marks PromoteMsg as retransmit.Superseding.
+func (PromoteMsg) SupersedesPrevious() {}
 
 // Automaton is the per-process automaton of Algorithm 5.
 type Automaton struct {

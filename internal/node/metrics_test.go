@@ -77,6 +77,11 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 		if _, ok := vals[obs.MetricHTTPLatency+"_count"]; !ok {
 			t.Errorf("node %v /metrics missing HTTP latency summary", nd.ID())
 		}
+		// The node's default retransmission schedule bounds every learned
+		// per-link timeout to [RTO, MaxRTO] = [3, 48] ticks.
+		if rto := vals[obs.MetricRetransmitRTO]; rto < 3 || rto > 48 {
+			t.Errorf("node %v retransmit_rto_ticks = %d, want within [3, 48]", nd.ID(), rto)
+		}
 
 		// Ground truth: a converged 3-replica run applied exactly `ops`
 		// commands everywhere, and accepted counts must sum to `ops`.
@@ -190,7 +195,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	prev := map[string]int64{}
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied, obs.MetricBatchFlushes,
-		obs.MetricTransportFlushes, obs.MetricRetransmitResends,
+		obs.MetricTransportFlushes, obs.MetricRetransmitResends, obs.MetricRetransmitSuperseded,
 	}
 	for i := 0; i < 5; i++ {
 		if err := c.update("mono", fmt.Sprintf("set m%d %d", i, i)); err != nil {

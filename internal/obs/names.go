@@ -25,6 +25,8 @@ const (
 	MetricRetransmitPending    = "retransmit_pending_envelopes"
 	MetricRetransmitSparse     = "retransmit_dedup_sparse"
 	MetricRetransmitStreams    = "retransmit_dedup_streams"
+	MetricRetransmitSuperseded = "retransmit_superseded_total"
+	MetricRetransmitRTO        = "retransmit_rto_ticks" // largest learned per-link RTO
 
 	// Stack: ETOB broadcast batching (internal/etob).
 	MetricBatchFlushes       = "batch_flushes_total"
@@ -84,6 +86,8 @@ func StackNames() []string {
 		MetricRetransmitPending,
 		MetricRetransmitSparse,
 		MetricRetransmitStreams,
+		MetricRetransmitSuperseded,
+		MetricRetransmitRTO,
 		MetricBatchFlushes,
 		MetricBatchFullFlushes,
 		MetricBatchLingerFlushes,

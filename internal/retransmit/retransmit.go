@@ -26,9 +26,35 @@
 // intercepts Send/Broadcast on the step context and the matching Recv calls,
 // and passes Init/Tick/Input straight through. Retransmission timing counts
 // the automaton's own Tick steps (the paper's local timeout — processes have
-// no clock access): an unacked envelope is resent after RTO ticks, then
-// 2·RTO, 4·RTO, ... capped at MaxRTO, each resend offset by seeded jitter so
-// two senders that lost the same burst do not resend in lockstep forever.
+// no clock access). Each directed link keeps a round-trip estimator in ticks
+// (RFC 6298: SRTT and RTTVAR, learned RTO = SRTT + 4·RTTVAR, and Karn's rule:
+// an ack of a resent envelope is ambiguous and gives no sample). Resend
+// attempt k waits max(learned RTO, min(RTO·2^k, MaxRTO)) ticks: the learned
+// RTO is a FLOOR under the fixed exponential schedule, not a new base for it,
+// so a link whose round trip exceeds RTO stops paying for resends that race
+// their own ack, while a lost envelope still backs off on the fixed schedule.
+// Each wait is offset by seeded jitter in [0, RTO) so two senders that lost
+// the same burst do not resend in lockstep forever. The learned RTO stays
+// within [RTO, MaxRTO], and a sample of 0 ticks (an ack inside the tick that
+// sent the data) counts like any other.
+//
+// Until a link has its first valid sample, an ambiguous ack keeps the
+// backed-off timeout it was acked under as the link's floor (Karn's timer
+// backoff, RFC 6298 (5.5)): a link whose round trip exceeds RTO would
+// otherwise resend nearly every envelope, and so almost never produce the
+// unresent ack a sample needs. Once a link is measured, a resend is probable
+// loss and moves nothing, so loss recovery keeps the fixed schedule. A
+// restarted process (see below) starts with every link unmeasured.
+//
+// Supersession: a payload that implements Superseding replaces the sender's
+// previous still-pending superseding envelope on the same link — the
+// protocol promises that only the newest one matters (etob.PromoteMsg:
+// receivers drop older promote counters anyway). The replaced envelope is
+// settled exactly as an ack settles it, so it is never resent, Base moves
+// past it and receivers compact their watermark over it as they do after
+// abandonment. At most one superseding envelope per link is ever pending,
+// and the newest is resent until acknowledged or superseded in turn. Every
+// other payload keeps exactly-once delivery.
 //
 // Churn interplay: a process restarted by the kernel (sim.Options.Faults)
 // re-runs Init with fresh state, which gives the wrapper a new EPOCH (derived
@@ -44,8 +70,9 @@
 // delivers and acks them.
 //
 // Determinism: all jitter comes from a PRNG seeded by (Options.Seed, process,
-// epoch), and resend decisions depend only on tick counts — a wrapped run is
-// bit-for-bit reproducible like any other kernel run.
+// epoch), and resend decisions depend only on tick counts (the estimator is
+// integer fixed point) — a wrapped run is bit-for-bit reproducible like any
+// other kernel run.
 package retransmit
 
 import (
@@ -83,11 +110,20 @@ type Ack struct {
 	Seq   int64
 }
 
+// Superseding marks a payload that makes the sender's previous superseding
+// payload to the same destination obsolete: sending it stops the resends of
+// the older one (see the package doc). Only a protocol that needs nothing
+// but the newest such payload to arrive may implement it.
+type Superseding interface {
+	SupersedesPrevious()
+}
+
 // Options tune the resend schedule.
 type Options struct {
 	// RTO is the initial resend timeout in ticks of the wrapped automaton
-	// (default 3). Attempt k resends after min(RTO·2^k, MaxRTO) ticks plus
-	// jitter in [0, RTO).
+	// (default 3), and the floor of every link's learned timeout. Attempt k
+	// resends after max(learned RTO, min(RTO·2^k, MaxRTO)) ticks plus jitter
+	// in [0, RTO); a link with no round-trip sample yet uses RTO.
 	RTO int
 	// MaxRTO caps the exponential backoff (default 48 ticks).
 	MaxRTO int
@@ -237,9 +273,45 @@ type pending struct {
 	to       model.ProcID
 	seq      int64
 	ord      int64 // global send ordinal; fixes intra-tick resend order
+	sentAt   int64 // tick of the first transmission (RTT sample base)
 	payload  any
 	attempts int
 	acked    bool // set by the ack; slot released when its key pops
+}
+
+// rttEst is one link's RFC 6298 round-trip estimator in automaton ticks, in
+// Jacobson's integer fixed point (srtt8 = SRTT·8, rttvar4 = RTTVAR·4): floats
+// could round differently across architectures and move seeded runs.
+type rttEst struct {
+	srtt8, rttvar4 int64
+	sampled        bool
+	rto            int64 // SRTT + 4·RTTVAR clamped to [Options.RTO, MaxRTO]
+}
+
+// sample folds one round-trip measurement r ≥ 0 into the estimate and
+// recomputes the link's timeout within [lo, hi], replacing any timeout kept
+// by backedOff.
+func (e *rttEst) sample(r, lo, hi int64) {
+	if !e.sampled {
+		e.srtt8, e.rttvar4, e.sampled = r<<3, r<<1, true
+	} else {
+		delta := r - e.srtt8>>3
+		e.srtt8 += delta // SRTT += (r - SRTT)/8
+		if delta < 0 {
+			delta = -delta
+		}
+		e.rttvar4 += delta - e.rttvar4>>2 // RTTVAR += (|r - SRTT| - RTTVAR)/4
+	}
+	e.rto = min(max(e.srtt8>>3+e.rttvar4, lo), hi)
+}
+
+// backedOff records an ambiguous ack (Karn's rule: no sample) of an envelope
+// whose backed-off timeout had reached d ticks: an unmeasured link keeps d
+// as its floor until its first sample.
+func (e *rttEst) backedOff(d int64) {
+	if !e.sampled {
+		e.rto = max(e.rto, d)
+	}
 }
 
 // Automaton is the retransmission wrapper around one inner automaton.
@@ -250,8 +322,10 @@ type Automaton struct {
 	inner model.Automaton
 
 	epoch   int64
-	seqTo   []int64 // last seq sent per destination link (index to-1)
-	baseTo  []int64 // lowest possibly-unacked seq per link (advanced lazily)
+	seqTo   []int64  // last seq sent per destination link (index to-1)
+	baseTo  []int64  // lowest possibly-unacked seq per link (advanced lazily)
+	supTo   []int64  // seq of the link's latest Superseding envelope (0: none)
+	rtt     []rttEst // per-link round-trip estimator
 	ticks   int64
 	rng     *rand.Rand
 	pending map[pendKey]int32 // ack lookup: (destination, link seq) → slab slot
@@ -261,6 +335,7 @@ type Automaton struct {
 	seen    map[srcKey]*dedup // per (sender, epoch) watermark + sparse set
 	resends int64
 	dupes   int64 // duplicate envelopes suppressed by receiver-side dedup
+	supers  int64 // envelopes settled by a newer Superseding payload
 
 	// Give-up bookkeeping (Options.GiveUpTicks).
 	lastHeard []int64 // index q-1: tick of last Data/Ack from q, any epoch
@@ -285,6 +360,21 @@ func (a *Automaton) Duplicates() int64 { return a.dupes }
 
 // PendingEnvelopes returns how many envelopes are still awaiting an ack.
 func (a *Automaton) PendingEnvelopes() int { return len(a.pending) }
+
+// Superseded returns how many pending envelopes a newer Superseding payload
+// on the same link replaced (cumulative across incarnations).
+func (a *Automaton) Superseded() int64 { return a.supers }
+
+// LearnedRTO returns the largest per-link learned timeout of the current
+// incarnation in ticks: Options.RTO until a link has a round-trip sample,
+// never above MaxRTO.
+func (a *Automaton) LearnedRTO() int {
+	m := int64(a.opts.RTO)
+	for i := range a.rtt {
+		m = max(m, a.rtt[i].rto)
+	}
+	return int(m)
+}
 
 // Abandoned returns how many envelopes this process gave up resending under
 // Options.GiveUpTicks (cumulative across incarnations, like Resends).
@@ -317,6 +407,8 @@ func (a *Automaton) Init(ctx model.Context) {
 	for i := range a.baseTo {
 		a.baseTo[i] = 1
 	}
+	a.supTo = make([]int64, a.n)
+	a.rtt = make([]rttEst, a.n)
 	a.ticks = 0
 	a.rng = rand.New(rand.NewSource(a.opts.Seed*1_000_003 + int64(a.self)*7919 + a.epoch))
 	a.pending = make(map[pendKey]int32)
@@ -357,13 +449,14 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 		a.inner.Recv(&wrapCtx{ctx: ctx, a: a}, from, m.Payload)
 	case Ack:
 		a.heard(from)
-		if m.Epoch == a.epoch {
-			key := pendKey{to: from, seq: m.Seq}
-			if slot, ok := a.pending[key]; ok {
-				pd := &a.heap.slots[slot]
-				pd.acked = true
-				pd.payload = nil // settled: release the protocol data now
-				delete(a.pending, key)
+		if m.Epoch != a.epoch {
+			break
+		}
+		if pd := a.settle(pendKey{to: from, seq: m.Seq}); pd != nil {
+			if pd.attempts == 0 {
+				a.rtt[from-1].sample(a.ticks-pd.sentAt, int64(a.opts.RTO), int64(a.opts.MaxRTO))
+			} else { // Karn's rule: the ack may answer any of the copies
+				a.rtt[from-1].backedOff(a.expBackoff(pd.attempts))
 			}
 		}
 	default:
@@ -424,8 +517,23 @@ func (a *Automaton) resendDue(ctx model.Context) {
 		a.resends++
 		ctx.Send(pd.to, Data{Epoch: a.epoch, Seq: pd.seq, Base: a.linkBase(pd.to), Payload: pd.payload})
 		pd.attempts++
-		h.push(a.ticks+a.backoff(pd.attempts), pd.ord, s)
+		h.push(a.ticks+a.backoff(pd.to, pd.attempts), pd.ord, s)
 	}
+}
+
+// settle removes the envelope key from the pending set, as an ack does, and
+// returns it (nil if it was not pending). The slot itself stays queued until
+// its due tick pops it; its payload is released now.
+func (a *Automaton) settle(key pendKey) *pending {
+	slot, ok := a.pending[key]
+	if !ok {
+		return nil
+	}
+	delete(a.pending, key)
+	pd := &a.heap.slots[slot]
+	pd.acked = true
+	pd.payload = nil
+	return pd
 }
 
 // heard records link liveness for the give-up bound: any Data or Ack from q —
@@ -436,17 +544,23 @@ func (a *Automaton) heard(from model.ProcID) {
 	}
 }
 
-// backoff returns the tick delay before resend attempt k (1-based): an
-// exponential min(RTO·2^k, MaxRTO) plus seeded jitter in [0, RTO).
-func (a *Automaton) backoff(attempts int) int64 {
+// backoff returns the tick delay before resend attempt k (0 for the first
+// transmission's timeout) on the link to `to`: the exponential
+// min(RTO·2^k, MaxRTO), floored at the link's learned RTO, plus seeded jitter
+// in [0, RTO).
+func (a *Automaton) backoff(to model.ProcID, attempts int) int64 {
+	d := max(a.expBackoff(attempts), a.rtt[to-1].rto)
+	return d + a.rng.Int63n(int64(a.opts.RTO))
+}
+
+// expBackoff returns the fixed exponential schedule's timeout for attempt k:
+// min(RTO·2^k, MaxRTO).
+func (a *Automaton) expBackoff(attempts int) int64 {
 	d := int64(a.opts.RTO)
 	for i := 0; i < attempts && d < int64(a.opts.MaxRTO); i++ {
 		d *= 2
 	}
-	if d > int64(a.opts.MaxRTO) {
-		d = int64(a.opts.MaxRTO)
-	}
-	return d + a.rng.Int63n(int64(a.opts.RTO))
+	return min(d, int64(a.opts.MaxRTO))
 }
 
 // linkBase returns the lowest seq on the link to `to` that may still be
@@ -467,14 +581,21 @@ func (a *Automaton) linkBase(to model.ProcID) int64 {
 
 // sendData wraps one inner-protocol payload and registers it for resend. The
 // sequence number is drawn from the destination link's own contiguous
-// counter (see pendKey).
+// counter (see pendKey). A Superseding payload first settles the link's
+// previous one, so the Base it carries already reaches past it.
 func (a *Automaton) sendData(ctx model.Context, to model.ProcID, payload any) {
 	a.seqTo[to-1]++
 	a.sent++
+	if _, ok := payload.(Superseding); ok {
+		if a.settle(pendKey{to: to, seq: a.supTo[to-1]}) != nil {
+			a.supers++
+		}
+		a.supTo[to-1] = a.seqTo[to-1]
+	}
 	slot := a.heap.alloc()
 	pd := &a.heap.slots[slot]
-	*pd = pending{to: to, seq: a.seqTo[to-1], ord: a.sent, payload: payload}
-	due := a.ticks + a.backoff(0)
+	*pd = pending{to: to, seq: a.seqTo[to-1], ord: a.sent, sentAt: a.ticks, payload: payload}
+	due := a.ticks + a.backoff(to, 0)
 	a.pending[pendKey{to: to, seq: pd.seq}] = slot
 	a.heap.push(due, pd.ord, slot)
 	ctx.Send(to, Data{Epoch: a.epoch, Seq: pd.seq, Base: a.linkBase(to), Payload: payload})

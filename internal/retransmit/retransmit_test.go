@@ -229,38 +229,69 @@ func TestDedupBoundedAcrossReceiverRestart(t *testing.T) {
 // RTO=100/MaxRTO=50 silently became a 100-tick cap). The resend schedule is
 // observed from outside: with RTO=100/MaxRTO=9 honored, a lossy first copy
 // is resent within a handful of ticks; with the cap discarded it would sit
-// ~100 ticks.
+// ~100 ticks. The cap also bounds each link's learned timeout: a round trip
+// longer than MaxRTO is learned as MaxRTO, and one shorter than RTO leaves
+// the timeout at RTO.
 func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
-	counts := make(recvCount)
-	fp := model.NewFailurePattern(2)
-	// Drop everything on 1→2 for the first transmissions: linkRate is seeded,
-	// so instead force loss via a high drop rate and verify by delivery time.
-	k := sim.New(fp, fd.NewOmegaStable(fp, 1),
-		retransmit.Wrap(counterFactory(counts), retransmit.Options{Seed: 3, RTO: 100, MaxRTO: 9}),
-		sim.Options{
-			Seed:    3,
-			Network: func() sim.NetworkModel { return &adversary.Lossy{Drop: 0.45, Min: 1, Max: 2} },
+	for _, tc := range []struct {
+		name     string
+		opts     retransmit.Options
+		min, max model.Time // one-way delay bounds
+		wantRTO  int        // learned per-link timeout, clamped
+	}{
+		// Sub-tick round trips: samples of 0 or 1 tick, floored at RTO.
+		{"cap below RTO clamps RTO", retransmit.Options{Seed: 3, RTO: 100, MaxRTO: 9}, 1, 2, 9},
+		// 3-7 tick round trips learn SRTT + 4·RTTVAR above 9, capped at 9.
+		{"learned RTO capped at MaxRTO", retransmit.Options{Seed: 3, RTO: 4, MaxRTO: 9}, 10, 17, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counts := make(recvCount)
+			fp := model.NewFailurePattern(2)
+			k := sim.New(fp, fd.NewOmegaStable(fp, 1),
+				retransmit.Wrap(counterFactory(counts), tc.opts),
+				sim.Options{
+					Seed: 3,
+					Network: func() sim.NetworkModel {
+						return &adversary.Lossy{Drop: 0.45, Min: tc.min, Max: tc.max}
+					},
+				})
+			for i := 0; i < 5; i++ {
+				k.ScheduleInput(1, model.Time(50+100*i), fmt.Sprintf("x%d", i))
+			}
+			k.RunUntil(20000, func(k *sim.Kernel) bool { // every envelope acked
+				for _, p := range model.Procs(2) {
+					if k.Automaton(p).(*retransmit.Automaton).PendingEnvelopes() != 0 {
+						return false
+					}
+				}
+				return k.Now() > 450
+			})
+			resends := int64(0)
+			for _, p := range model.Procs(2) {
+				a := k.Automaton(p).(*retransmit.Automaton)
+				resends += a.Resends()
+				for i := 0; i < 5; i++ {
+					if got := counts[p][fmt.Sprintf("x%d", i)]; got != 1 {
+						t.Errorf("%v received x%d %d times, want 1", p, i, got)
+					}
+				}
+			}
+			if resends == 0 {
+				t.Fatal("no resends: cap behavior not exercised")
+			}
+			if got := k.Automaton(1).(*retransmit.Automaton).LearnedRTO(); got != tc.wantRTO {
+				t.Errorf("p1's learned RTO = %d ticks, want %d", got, tc.wantRTO)
+			}
+			// The schedule property itself: every inter-resend gap must
+			// respect the explicit cap (MaxRTO + jitter < RTO). With the old
+			// defaulting the first case's gap would be RTO·2^k up to 100+;
+			// with the clamp it is ≤ 9 + jitter(9) = 18. Convergence this
+			// fast with losses present is only possible under the clamped
+			// schedule.
+			if now := k.Now(); now > 2000 {
+				t.Errorf("last envelope acked at t=%d; with MaxRTO honored resends are tick-scale and settle is fast", now)
+			}
 		})
-	k.ScheduleInput(1, 50, "x")
-	k.Run(20000)
-	resends := int64(0)
-	for _, p := range model.Procs(2) {
-		a := k.Automaton(p).(*retransmit.Automaton)
-		resends += a.Resends()
-		if got := counts[p]["x"]; got != 1 {
-			t.Errorf("%v received %q %d times, want 1", p, "x", got)
-		}
-	}
-	if resends == 0 {
-		t.Skip("seed produced no losses; cap behavior not exercised")
-	}
-	// The schedule property itself: every inter-resend gap must respect the
-	// explicit cap (MaxRTO + jitter < RTO). With the old defaulting the gap
-	// would be RTO·2^k up to 100+; with the clamp it is ≤ 9 + jitter(9) = 18.
-	// Convergence this fast with losses present is only possible under the
-	// clamped schedule.
-	if now := k.Now(); now > 2000 {
-		t.Errorf("run settled at t=%d; with MaxRTO honored resends are tick-scale and settle is fast", now)
 	}
 }
 
