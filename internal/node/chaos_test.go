@@ -97,6 +97,7 @@ func midSoakScrape(t *testing.T, nodes []*node.Node, prev map[model.ProcID]map[s
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied, obs.MetricRetransmitResends,
 		obs.MetricRetransmitDuplicates, obs.MetricTransportFlushes, obs.MetricTransportInjected,
+		obs.MetricTransportBytesSent,
 	}
 	for _, nd := range nodes {
 		resp, err := testClient.Get(nd.URL() + "/metrics")

@@ -66,7 +66,7 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 			}
 		}
 		for _, name := range []string{
-			obs.MetricTransportFlushes, obs.MetricTransportInboxDrop,
+			obs.MetricTransportFlushes, obs.MetricTransportInboxDrop, obs.MetricTransportBytesSent,
 			obs.MetricNodeAccepted, obs.MetricNodeDegraded,
 			obs.MetricOmegaFlaps, obs.MetricOmegaLeader,
 		} {
@@ -76,6 +76,9 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 		}
 		if _, ok := vals[obs.MetricHTTPLatency+"_count"]; !ok {
 			t.Errorf("node %v /metrics missing HTTP latency summary", nd.ID())
+		}
+		if vals[obs.MetricTransportBytesSent] == 0 {
+			t.Errorf("node %v transport_bytes_sent_total = 0 in a cluster that replicated %d ops", nd.ID(), ops)
 		}
 		// The node's default retransmission schedule bounds every learned
 		// per-link timeout to [RTO, MaxRTO] = [3, 48] ticks.
@@ -196,6 +199,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied, obs.MetricBatchFlushes,
 		obs.MetricTransportFlushes, obs.MetricRetransmitResends, obs.MetricRetransmitSuperseded,
+		obs.MetricTransportBytesSent,
 	}
 	for i := 0; i < 5; i++ {
 		if err := c.update("mono", fmt.Sprintf("set m%d %d", i, i)); err != nil {
@@ -209,5 +213,8 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 			prev[name] = vals[name]
 		}
 		time.Sleep(30 * time.Millisecond)
+	}
+	if prev[obs.MetricTransportBytesSent] == 0 {
+		t.Error("transport_bytes_sent_total stayed 0 under live traffic")
 	}
 }

@@ -309,6 +309,7 @@ func (n *Node) wireMetrics() {
 	reg.CounterFunc(obs.MetricTransportFlushes, n.tcp.Flushes)
 	reg.CounterFunc(obs.MetricTransportCoalesced, n.tcp.Coalesced)
 	reg.CounterFunc(obs.MetricTransportRedials, n.tcp.Redials)
+	reg.CounterFunc(obs.MetricTransportBytesSent, n.tcp.BytesSent)
 	if n.fault != nil {
 		reg.CounterFunc(obs.MetricTransportInjected, n.fault.Injected)
 	}

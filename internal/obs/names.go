@@ -56,6 +56,7 @@ const (
 	MetricTransportFlushes   = "transport_flushes_total"
 	MetricTransportCoalesced = "transport_frames_coalesced_total"
 	MetricTransportRedials   = "transport_redials_total"
+	MetricTransportBytesSent = "transport_bytes_sent_total"
 	MetricTransportInjected  = "transport_faults_injected_total"
 
 	// Live replica node (internal/node).

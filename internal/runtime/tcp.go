@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -30,6 +31,84 @@ func RegisterWireType(v any) { gob.Register(v) }
 // maxFrameBytes bounds a single decoded frame (defensive: a corrupt length
 // prefix must not allocate unbounded memory).
 const maxFrameBytes = 64 << 20
+
+// FrameEncoder is the sending half of one connection's gob stream: each
+// Append adds one length-prefixed frame to the buffer it was made with. The
+// stream's state lives in the encoder, so one encoder serves exactly one
+// connection, from its first byte.
+type FrameEncoder struct {
+	buf *bytes.Buffer
+	enc *gob.Encoder
+}
+
+// NewFrameEncoder starts a stream whose frames are appended to buf. The
+// caller may Reset buf between flushes; the stream continues.
+func NewFrameEncoder(buf *bytes.Buffer) *FrameEncoder {
+	return &FrameEncoder{buf: buf, enc: gob.NewEncoder(buf)}
+}
+
+// Append encodes f as the stream's next frame: a 4-byte big-endian length,
+// then the bytes of one Encode call — the descriptors of the types the
+// stream has not carried yet, then the value. On error (an unregistered or
+// unencodable payload) buf is left as it was, but the stream is poisoned: the encoder may count descriptors as
+// sent that were among the discarded bytes, so nothing more may be
+// appended after the frames already in buf.
+func (e *FrameEncoder) Append(f Frame) error {
+	start := e.buf.Len()
+	e.buf.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := e.enc.Encode(f); err != nil {
+		e.buf.Truncate(start)
+		return err
+	}
+	b := e.buf.Bytes()[start:]
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return nil
+}
+
+// FrameDecoder is the receiving half of one connection's gob stream.
+type FrameDecoder struct {
+	r      *bufio.Reader
+	lenBuf [4]byte
+	body   bytes.Buffer // one frame; reused
+	dec    *gob.Decoder // reads body, an io.ByteReader, so it adds no buffer
+}
+
+// NewFrameDecoder reads the stream of frames a FrameEncoder wrote to r.
+func NewFrameDecoder(r io.Reader) *FrameDecoder {
+	d := &FrameDecoder{r: bufio.NewReader(r)}
+	d.dec = gob.NewDecoder(&d.body)
+	return d
+}
+
+var errCorruptFrame = errors.New("runtime: corrupt frame stream")
+
+// Next reads and decodes the stream's next frame. Any error — a read error,
+// a length of zero or over maxFrameBytes, a gob error, or a frame whose
+// bytes the decode did not use up — leaves the stream unusable.
+func (d *FrameDecoder) Next() (Frame, error) {
+	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
+		return Frame{}, err
+	}
+	size := int(binary.BigEndian.Uint32(d.lenBuf[:]))
+	if size == 0 || size > maxFrameBytes {
+		return Frame{}, errCorruptFrame
+	}
+	d.body.Reset()
+	d.body.Grow(size)
+	b := d.body.AvailableBuffer()[:size]
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		return Frame{}, err
+	}
+	d.body.Write(b) // in place: b is body's own spare capacity
+	var f Frame
+	if err := d.dec.Decode(&f); err != nil {
+		return Frame{}, err
+	}
+	if d.body.Len() != 0 {
+		return Frame{}, errCorruptFrame
+	}
+	return f, nil
+}
 
 // maxCoalescedFrames bounds how many queued frames one writer wakeup drains
 // into a single connection write (bounds the flush buffer; the remainder just
@@ -88,10 +167,23 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // over per-peer TCP connections. Writer goroutines own one reconnecting
 // connection per peer, sharing a single net.Dialer; readers accept any
 // number of inbound connections and funnel decoded frames into the inbox.
-// Every frame is encoded independently (4-byte big-endian length + gob
-// bytes), so a reconnection never desynchronizes the codec state and a
-// partially written frame just fails the connection's decode and triggers a
-// redial.
+//
+// Each connection carries ONE gob stream (FrameEncoder on the writer,
+// FrameDecoder on the reader): a type's descriptor crosses a connection once,
+// with the first frame of that type, and every later frame carries only its
+// value. Frames are still length-prefixed (4-byte big-endian length, then
+// the bytes of one Encode call), so the reader decodes exactly one frame at
+// a time. The stream lives and dies with its connection: a redial starts a
+// fresh encoder and the peer's new reader a fresh decoder, and a partially
+// written frame fails the old connection's decode without touching the new
+// one. A frame that fails to encode poisons its stream (the encoder may
+// already count descriptors as sent that went out with the discarded
+// bytes), so the writer drops that frame, flushes the frames before it and
+// ends the connection; the rest ride the redial.
+//
+// Frames of different builds of this package must not meet on one
+// connection: the stream and the causal.Graph blob inside it are this
+// build's wire form, so every replica of a cluster runs the same build.
 //
 // Delivery is at-most-once — see the Transport contract for why replica
 // automata wrap themselves in internal/retransmit when running over TCP.
@@ -110,6 +202,7 @@ type TCPTransport struct {
 	flushes   atomic.Int64 // connection writes (each carrying >= 1 frame)
 	coalesced atomic.Int64 // frames that rode an earlier frame's flush
 	redials   atomic.Int64 // dial attempts after a dial or write failure
+	bytesSent atomic.Int64 // bytes written to connections, length prefixes included
 	peers     map[model.ProcID]*tcpPeer
 	wg        sync.WaitGroup
 }
@@ -196,6 +289,10 @@ func (t *TCPTransport) Redials() int64 { return t.redials.Load() }
 // Coalesced returns how many frames were carried by a flush they did not
 // trigger — the frames whose syscall the coalescing writer saved.
 func (t *TCPTransport) Coalesced() int64 { return t.coalesced.Load() }
+
+// BytesSent returns how many bytes the writers put on connections, length
+// prefixes included; with Flushes and Coalesced it gives bytes per frame.
+func (t *TCPTransport) BytesSent() int64 { return t.bytesSent.Load() }
 
 // Addr returns the address the endpoint actually listens on (useful with
 // ":0" test configs).
@@ -288,8 +385,9 @@ func (t *TCPTransport) accept() {
 	}
 }
 
-// reader decodes length-prefixed frames off one inbound connection until it
-// breaks or the endpoint closes.
+// reader decodes one inbound connection's frame stream until it breaks or
+// the endpoint closes. A truncated, oversized or undecodable frame ends the
+// connection; the peer redials with a fresh stream.
 func (t *TCPTransport) reader(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -304,22 +402,11 @@ func (t *TCPTransport) reader(conn net.Conn) {
 		case <-stop:
 		}
 	}()
-	var lenBuf [4]byte
+	dec := NewFrameDecoder(conn)
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		f, err := dec.Next()
+		if err != nil {
 			return
-		}
-		size := binary.BigEndian.Uint32(lenBuf[:])
-		if size == 0 || size > maxFrameBytes {
-			return // corrupt stream: drop the connection, peer will redial
-		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			return
-		}
-		var f Frame
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&f); err != nil {
-			return // undecodable frame: same treatment as a broken stream
 		}
 		t.offer(f)
 	}
@@ -329,15 +416,19 @@ func (t *TCPTransport) reader(conn net.Conn) {
 // capped exponential backoff) for as long as the endpoint lives, COALESCE
 // whatever has queued behind the frame that woke it — up to
 // maxCoalescedFrames, drained without blocking — into one buffer of
-// independently encoded length-prefixed frames, and flush that buffer with a
-// single connection write (the writev-style amortization: a replica
-// broadcasting through the retransmission layer queues n envelopes back to
-// back, and a batch-window's worth of traffic to one peer becomes one
-// syscall instead of one per frame). Each frame still gets its own gob
-// encoder and length prefix, so the reader is unchanged and a reconnection
-// never desynchronizes codec state. Anything that cannot be delivered right
-// now is dropped with a counter: an unencodable frame individually, a broken
-// write the whole flush — at-most-once, by design.
+// length-prefixed frames, and flush that buffer with a single connection
+// write (the writev-style amortization: a replica broadcasting through the
+// retransmission layer queues n envelopes back to back, and a batch-window's
+// worth of traffic to one peer becomes one syscall instead of one per
+// frame). The frames are encoded onto the connection's gob stream, which is
+// created with the connection and dropped with it.
+//
+// Anything that cannot be delivered right now is dropped with a counter —
+// at-most-once, by design. A broken write drops the frames of its flush. An
+// unencodable frame is dropped alone, but it poisons the stream: the frames
+// encoded before it are flushed, the connection is closed, and the rest of
+// the batch is encoded onto the redial's fresh stream. An encode error says
+// nothing about the link, so it does not widen the redial backoff.
 //
 // The backoff streak persists ACROSS connections, not just across failed
 // dials: a flapping peer whose listener accepts connections and immediately
@@ -355,6 +446,7 @@ func (t *TCPTransport) writer(peer *tcpPeer) {
 		}
 	}()
 	var buf bytes.Buffer
+	var enc *FrameEncoder // conn's stream, appending to buf
 	batch := make([]Frame, 0, maxCoalescedFrames)
 	encoded := make([]Frame, 0, maxCoalescedFrames)
 	failStreak := 0
@@ -377,52 +469,61 @@ func (t *TCPTransport) writer(peer *tcpPeer) {
 				break drain
 			}
 		}
-		if conn == nil {
-			if failStreak > 0 {
-				if !t.pause(capBackoff(t.cfg.RedialBackoff, t.cfg.MaxRedialBackoff, failStreak)) {
-					return // endpoint closed while backing off
-				}
-				t.redials.Add(1)
-			}
-			var dialErrs int
-			conn, dialErrs = t.dial(peer)
-			failStreak += dialErrs
+		for rest := batch; len(rest) > 0; {
 			if conn == nil {
-				return // endpoint closed while dialing
+				if conn, failStreak = t.connect(peer, failStreak); conn == nil {
+					return // endpoint closed
+				}
+				enc = NewFrameEncoder(&buf)
+			}
+			buf.Reset()
+			encoded = encoded[:0]
+			endConn := false
+			for len(rest) > 0 && !endConn {
+				fr := rest[0]
+				rest = rest[1:]
+				if err := enc.Append(fr); err != nil {
+					t.drop(fr)
+					endConn = true // the stream is poisoned; rest rides the next one
+					continue
+				}
+				encoded = append(encoded, fr)
+			}
+			if len(encoded) > 0 {
+				n, err := conn.Write(buf.Bytes())
+				t.bytesSent.Add(int64(n))
+				if err != nil {
+					endConn = true
+					failStreak++
+					for _, fr := range encoded {
+						t.drop(fr)
+					}
+				} else {
+					failStreak = 0
+					t.flushes.Add(1)
+					t.coalesced.Add(int64(len(encoded) - 1))
+				}
+			}
+			if endConn {
+				conn.Close()
+				conn, enc = nil, nil
 			}
 		}
-		buf.Reset()
-		encoded = encoded[:0]
-		for _, fr := range batch {
-			start := buf.Len()
-			buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-			if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
-				// Unregistered or unencodable payload: this frame can never
-				// be carried; count it and keep the rest of the flush.
-				buf.Truncate(start)
-				t.drop(fr)
-				continue
-			}
-			b := buf.Bytes()[start:]
-			binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-			encoded = append(encoded, fr)
-		}
-		if len(encoded) == 0 {
-			continue
-		}
-		if _, err := conn.Write(buf.Bytes()); err != nil {
-			conn.Close()
-			conn = nil
-			failStreak++
-			for _, fr := range encoded {
-				t.drop(fr)
-			}
-			continue
-		}
-		failStreak = 0
-		t.flushes.Add(1)
-		t.coalesced.Add(int64(len(encoded) - 1))
 	}
+}
+
+// connect dials peer after the pause that failStreak consecutive connection
+// failures call for. It returns the connection (nil once the endpoint
+// closes) and the streak grown by the dial attempts that failed.
+func (t *TCPTransport) connect(peer *tcpPeer, failStreak int) (net.Conn, int) {
+	if failStreak > 0 {
+		if !t.pause(capBackoff(t.cfg.RedialBackoff, t.cfg.MaxRedialBackoff, failStreak)) {
+			return nil, failStreak
+		}
+		t.redials.Add(1)
+	}
+	conn, dialErrs := t.dial(peer)
+	return conn, failStreak + dialErrs
 }
 
 // pause sleeps for d unless the endpoint closes first.

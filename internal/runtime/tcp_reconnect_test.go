@@ -317,4 +317,22 @@ func TestTCPReconnectUnderMidFrameResets(t *testing.T) {
 	if proxy.cuts.Load() == 0 {
 		t.Fatal("the proxy never cut a connection; the test exercised nothing")
 	}
+
+	// Type descriptors cross each connection afresh. Once the connection
+	// live at this point has been cut too, a payload of the types every
+	// earlier connection carried must still decode on the one after it.
+	cuts := proxy.cuts.Load()
+	waitUntil(t, 10*time.Second, func() bool { return proxy.cuts.Load() > cuts })
+	const last = "after-reconnect"
+	if !proc1.Submit(testPayload{K: msgs, S: last}) {
+		t.Fatal("submit after reconnect failed")
+	}
+	mu.Lock()
+	a2 := autos[2]
+	mu.Unlock()
+	waitUntil(t, 60*time.Second, func() bool {
+		a2.mu.Lock()
+		defer a2.mu.Unlock()
+		return a2.got[last] > 0
+	})
 }
