@@ -23,43 +23,23 @@
 //	                            # only the recorded timings steady; the
 //	                            # max−min spread per cell lands in the
 //	                            # report's spread_ms column)
-//	bench -json BENCH_6.json    # also write the machine-readable report
-//	bench -json BENCH_6.json -scaling 1,2,4,8
+//	bench -json report.json     # also write the machine-readable report
+//	bench -json report.json -scaling 1,2,4,8
 //	                            # additionally rerun the suite per worker
 //	                            # count and record the wall-time scaling
-//	bench -json BENCH_6.json -latency
-//	                            # additionally run the open-loop latency
-//	                            # sweep (presets × batch configs) into the
-//	                            # report's "latency" section
-//	bench -latency-presets uniform,lossy
-//	                            # restrict the sweep's environment axis
-//	bench -json BENCH_6.json -latency-only
-//	                            # ONLY the latency sweep — skip the
-//	                            # experiment tables (CI latency smoke)
-//	bench -json BENCH_8.json -scalen 5,16,64,256
+//	bench -json report.json -scalen 5,16,64,256
 //	                            # additionally run the En cluster-size sweep
 //	                            # (the same ETOB workload at each n, one row
 //	                            # per n) into the report's "scaling_n" section
-//	bench -json BENCH_7.json -metrics
-//	                            # additionally rerun the suite with the obs
-//	                            # metrics registry attached to every cell's
-//	                            # kernel and record the on/off overhead
-//	                            # comparison in the report's "metrics"
-//	                            # section (errors if observation changes
-//	                            # any table row)
 //	bench -profile cpu          # write cpu.pprof (or mem.pprof) covering
 //	bench -profile mem          # the experiment run; -profile-dir sets
 //	                            # where the profile lands (default ".")
 //
 // The -json report (schema "repro-bench/6", see internal/bench.Report)
-// records per-experiment wall time (median-of-(-repeat) per cell) with its
-// run-to-run spread, kernel steps/sec, the kernel and CHT microbenchmarks
-// (ns/op, allocs/op), the optional scaling sweep, the optional open-loop
-// latency sweep (p50/p99/p999 visibility and order-stability latency per
-// network preset × batch config; see internal/loadgen), and the optional
-// metrics-on/off overhead audit (see internal/bench.MetricsCompare).
-// Progress notes for the extra passes go to stderr; stdout carries only the
-// tables.
+// records per-experiment cell time (median-of-(-repeat) per cell) with its
+// run-to-run spread, kernel steps/sec, and the optional worker-count and
+// cluster-size sweeps. Progress notes for the extra passes go to stderr;
+// stdout carries only the tables.
 package main
 
 import (
@@ -88,13 +68,9 @@ func run() int {
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell execution bound; a cell exceeding it is abandoned with a TIMEOUT row (0 = unbounded)")
 	shard := flag.String("shard", "", "run only shard i of n cells, as \"i/n\" (deterministic partition for multi-machine sweeps)")
 	repeat := flag.Int("repeat", 1, "run every cell N times and record the median cell time (tames single-core noise)")
-	jsonPath := flag.String("json", "", "write a machine-readable report (BENCH_<n>.json) to this path")
+	jsonPath := flag.String("json", "", "write a machine-readable report to this path")
 	scaling := flag.String("scaling", "", "comma-separated worker counts to sweep for the -json scaling section, e.g. 1,2,8")
 	scaleN := flag.String("scalen", "", "comma-separated cluster sizes for the -json scaling_n section (En experiment), e.g. 5,16,64,256")
-	latency := flag.Bool("latency", false, "run the open-loop latency sweep into the -json report's latency section")
-	latencyPresets := flag.String("latency-presets", "", "comma-separated network presets for the latency sweep (default uniform,lossy,hostile)")
-	latencyOnly := flag.Bool("latency-only", false, "run ONLY the latency sweep, skipping the experiment tables (implies -latency; requires -json)")
-	metrics := flag.Bool("metrics", false, "rerun the suite with the obs metrics registry on and record the overhead comparison in the -json report's metrics section")
 	profileKind := flag.String("profile", "", "write a pprof profile of the experiment run: cpu or mem")
 	profileDir := flag.String("profile-dir", ".", "directory for -profile output (cpu.pprof / mem.pprof)")
 	flag.Parse()
@@ -112,13 +88,8 @@ func run() int {
 	if sh.Count > 1 {
 		fmt.Fprintf(os.Stderr, "bench: running shard %d/%d (tables are partial; reassemble with the other shards)\n", sh.Index, sh.Count)
 	}
-	wantLatency := *latency || *latencyOnly
-	if *jsonPath == "" && (*scaling != "" || *scaleN != "" || wantLatency || *metrics) {
-		fmt.Fprintln(os.Stderr, "bench: -scaling/-scalen/-latency/-metrics require -json")
-		return 2
-	}
-	if *metrics && *latencyOnly {
-		fmt.Fprintln(os.Stderr, "bench: -metrics needs the experiment tables; drop -latency-only")
+	if *jsonPath == "" && (*scaling != "" || *scaleN != "") {
+		fmt.Fprintln(os.Stderr, "bench: -scaling/-scalen require -json")
 		return 2
 	}
 	stopProfile, err := startProfile(*profileKind, *profileDir)
@@ -134,13 +105,10 @@ func run() int {
 
 	runner := bench.Runner{Opts: opts, Parallel: *parallel, CellTimeout: *cellTimeout, Shard: sh, Repeat: *repeat}
 	start := time.Now()
-	var results []bench.Result
-	if !*latencyOnly {
-		results, err = runner.Run(ids)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err) // the registry error already names the valid IDs
-			return 2
-		}
+	results, err := runner.Run(ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err) // the registry error already names the valid IDs
+		return 2
 	}
 	wall := time.Since(start)
 	for i, r := range results {
@@ -178,34 +146,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bench:   n=%-4d %8.1f env/op %10.0f bytes/proc %9.0f steps/s %5.1f%% delivered\n",
 				r.N, r.EnvPerOp, r.BytesPerProc, r.StepsPerSec, r.DeliveredPct)
 		}
-	}
-	if wantLatency {
-		var presets []string
-		if *latencyPresets != "" {
-			for _, p := range strings.Split(*latencyPresets, ",") {
-				presets = append(presets, strings.TrimSpace(p))
-			}
-		}
-		fmt.Fprintln(os.Stderr, "bench: running open-loop latency sweep")
-		lat, err := bench.LatencySweep(*quick, *seed, presets)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		report.Latency = lat
-	}
-	if *metrics {
-		fmt.Fprintln(os.Stderr, "bench: running metrics-on/off overhead comparison")
-		mres, err := bench.MetricsCompare(runner, ids)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		report.AddMetrics(mres)
-	}
-	if !*latencyOnly {
-		fmt.Fprintln(os.Stderr, "bench: running kernel microbenchmarks")
-		report.Micro = bench.Microbenchmarks(*quick)
 	}
 	if err := report.WriteFile(*jsonPath); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)

@@ -63,12 +63,13 @@
 // deterministic cell sharding for multi-machine sweeps (-shard i/n), and
 // median-of-N cell timing (-repeat N) to tame single-core noise, with
 // rows reassembled deterministically so parallel output is byte-identical
-// to serial; cmd/bench -json writes a machine-readable BENCH_<n>.json
-// (schema repro-bench/6: per-experiment wall time with its run-to-run
-// spread, kernel steps/sec, microbenchmark ns/op and allocs/op, optional
-// worker-scaling sweep, optional open-loop latency sweep, optional
-// metrics-on/off overhead audit, optional cluster-size scaling sweep)
-// tracking the perf trajectory.
+// to serial; cmd/bench -json writes a machine-readable report (schema
+// repro-bench/6: per-experiment cell time with its run-to-run spread,
+// kernel steps/sec, optional worker-scaling sweep, optional cluster-size
+// scaling sweep), and cmd/bench -profile cpu|mem captures pprof profiles of
+// any run. The repository benchmark proper — end-to-end and per-layer costs
+// of the deployed stack, in and out of the simulator — is the separate
+// perfbench/ module.
 //
 // Cluster size n is a first-class scaling axis. ETOB and EC disseminate as
 // the paper's Algorithms 4 and 5 do — every update and promote goes to all n
@@ -82,16 +83,7 @@
 // steps/sec, envelopes/op and bytes/proc — into the report's "scaling_n"
 // section. ETOB batches under load: etob.BatchOptions coalesces k pending
 // ops into one update(CG) broadcast (flush on depth k or a linger deadline;
-// k=1 is bit-for-bit the historical path) with an optional AIMD controller
-// that grows the window under queue pressure and halves it when
-// linger-forced flushes run light. internal/loadgen is the
-// open-loop harness that measures what batching buys: seeded Poisson arrivals
-// over many client sessions into the kernel, recording
-// submit→visible-at-every-correct-process and submit→order-stable latency
-// per op into fixed-footprint log-bucketed histograms — p50/p99/p999 per
-// network preset × batch config land in the report's "latency" section
-// (cmd/bench -latency), and cmd/bench -profile cpu|mem captures pprof
-// profiles of any run.
+// k=1 is bit-for-bit the historical path).
 //
 // The service plane makes the paper's replicated service deployable: the
 // live runtime's plumbing is abstracted behind runtime.Transport (in-process
@@ -135,7 +127,7 @@
 //
 // The experiment index (which table checks which claim of the paper) is the
 // internal/bench package comment; cmd/ecsim, cmd/bench and the examples are
-// the runnable entry points. The root package holds the benchmark
-// suite (bench_test.go, ablation_bench_test.go) and cross-module
+// the runnable entry points. The root package holds the ablation benchmarks
+// of the paper's parameters (ablation_bench_test.go) and cross-module
 // integration/fuzz tests (integration_test.go).
 package repro

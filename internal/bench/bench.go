@@ -39,7 +39,7 @@
 // decomposed into independent seeded cells; Runner fans the cells of a whole
 // run across a bounded worker pool and reassembles rows in registry order,
 // so parallel output is byte-identical to serial. Report (report.go) is the
-// machine-readable BENCH_*.json emitted by cmd/bench alongside the tables.
+// machine-readable JSON report cmd/bench -json writes alongside the tables.
 package bench
 
 import (
@@ -98,16 +98,10 @@ func (t Table) Format() string {
 
 // Options tune experiment scale.
 type Options struct {
-	// Quick shrinks workloads for use inside testing.B loops.
+	// Quick shrinks workloads for tests and CI smoke runs.
 	Quick bool
 	// Seed is the base PRNG seed (experiments derive from it).
 	Seed int64
-	// Metrics attaches an obs.Registry to every cell's kernel and scrapes it
-	// when the cell finishes — the monitored-run configuration whose timing
-	// MetricsCompare holds against the default within the run's own spread.
-	// Tables are bit-identical either way (observation reads counters the
-	// kernel already keeps; MetricsCompare enforces this).
-	Metrics bool
 }
 
 func (o Options) seed() int64 {

@@ -86,7 +86,6 @@ func e10Cell(opts Options, scale, until model.Time, msgs, n int) cellOut {
 	rec := trace.NewRecorder(n)
 	k := sim.New(fp, det, retransmit.Wrap(etob.Factory(), retransmit.Options{Seed: opts.seed()}),
 		sim.Options{Seed: opts.seed(), Faults: fs})
-	defer opts.observe(k)()
 	k.SetObserver(rec)
 	var ids []string
 	var restarts int

@@ -82,7 +82,6 @@ func e11Cell(opts Options, rate float64, wrapped bool, instances, n int) cellOut
 			return &adversary.Lossy{Drop: rate, Burst: 4}
 		},
 	})
-	defer opts.observe(k)()
 	k.SetObserver(rec)
 	correct := fp.Correct()
 	k.RunUntil(25000, func(*sim.Kernel) bool { return rec.AllDecided(correct, instances) })

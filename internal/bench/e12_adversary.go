@@ -77,7 +77,6 @@ func schedulerBroadcastCell(opts Options, scheduler string, net sim.NetworkFacto
 	det := fd.NewOmegaStable(fp, 1)
 	rec := trace.NewRecorder(n)
 	k := sim.New(fp, det, etob.Factory(), sim.Options{Seed: opts.seed(), Network: net})
-	defer opts.observe(k)()
 	k.SetObserver(rec)
 	var ids []string
 	var sentAt []model.Time
@@ -142,7 +141,6 @@ func transformWorkload(opts Options, net sim.NetworkFactory) (k *sim.Kernel, rec
 		return ec.New(p, nn)
 	})
 	k = sim.New(fp, det, factory, sim.Options{Seed: opts.seed(), Network: net})
-	defer opts.observe(k)()
 	k.SetObserver(rec)
 	for i := 0; i < 3; i++ {
 		for _, p := range model.Procs(n) {

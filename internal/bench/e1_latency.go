@@ -55,7 +55,6 @@ func e1Spec(opts Options) spec {
 			k := sim.New(fp, det, proto.factory, sim.Options{
 				Seed: opts.seed(), MinDelay: delay, MaxDelay: delay, TickInterval: 1, MaxTime: 1 << 40,
 			})
-			defer opts.observe(k)()
 			k.SetObserver(rec)
 			var ids []string
 			var sentAt []model.Time

@@ -46,7 +46,6 @@ func e2Spec(opts Options) spec {
 						return fmt.Sprintf("v/%v/%d", p, inst), true
 					}
 					k := sim.New(fp, det, ec.DrivenFactory(driver), sim.Options{Seed: opts.seed()})
-					defer opts.observe(k)()
 					k.SetObserver(rec)
 					k.RunUntil(60000, func(k *sim.Kernel) bool {
 						return k.Now() > tauOmega+500 && rec.AllDecided(fp.Correct(), instances)

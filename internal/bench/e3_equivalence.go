@@ -43,7 +43,6 @@ func e3Spec(opts Options) spec {
 			return ec.New(p, nn)
 		})
 		k := sim.New(fp, det, factory, sim.Options{Seed: opts.seed()})
-		defer opts.observe(k)()
 		k.SetObserver(rec)
 		var ids []string
 		for i := 0; i < 3; i++ {
@@ -74,7 +73,6 @@ func e3Spec(opts Options) spec {
 			return etob.New(p, nn)
 		}, transform.Driver(driver))
 		k := sim.New(fp, det, factory, sim.Options{Seed: opts.seed() + 1})
-		defer opts.observe(k)()
 		k.SetObserver(rec)
 		k.RunUntil(30000, func(k *sim.Kernel) bool {
 			return k.Now() > 1500 && rec.AllDecided(fp.Correct(), 5)
@@ -95,7 +93,6 @@ func e3Spec(opts Options) spec {
 			return transform.NewECToETOB(p, nn, ec.New(p, nn))
 		}, transform.Driver(driver))
 		k := sim.New(fp, det, factory, sim.Options{Seed: opts.seed() + 2})
-		defer opts.observe(k)()
 		k.SetObserver(rec)
 		k.RunUntil(60000, func(k *sim.Kernel) bool {
 			return k.Now() > 1500 && rec.AllDecided(fp.Correct(), 3)

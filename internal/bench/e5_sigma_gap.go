@@ -70,7 +70,6 @@ func e5Spec(opts Options) spec {
 			fp := mkPattern()
 			rec := trace.NewRecorder(n)
 			k := sim.New(fp, c.det(fp), c.factory, sim.Options{Seed: opts.seed()})
-			defer opts.observe(k)()
 			k.SetObserver(rec)
 			var ids []string
 			for i := 0; i < ops; i++ {
@@ -120,7 +119,6 @@ func e5Spec(opts Options) spec {
 			fp := mkPattern()
 			done := 0
 			k := sim.New(fp, c.det(fp), quorum.Factory(c.mode), sim.Options{Seed: opts.seed()})
-			defer opts.observe(k)()
 			k.SetObserver(&opCounter{count: &done})
 			for i := 0; i < ops; i++ {
 				if i%2 == 0 {

@@ -39,7 +39,6 @@ func e6Spec(opts Options) spec {
 				det := fd.NewOmegaStable(fp, leader)
 				rec := trace.NewRecorder(n)
 				k := sim.New(fp, det, etob.Factory(), sim.Options{Seed: seed, MinDelay: 5, MaxDelay: 60})
-				defer opts.observe(k)()
 				k.SetObserver(rec)
 				var ids []string
 				for i := 0; i < 12; i++ {
@@ -93,7 +92,6 @@ func e7Spec(opts Options) spec {
 			rec := trace.NewRecorder(n)
 			factory := smr.ReplicaFactory(etob.Factory(), smr.LogFactory)
 			k := sim.New(fp, det, factory, sim.Options{Seed: seed})
-			defer opts.observe(k)()
 			k.SetObserver(rec)
 			// Causal chains via explicit deps. Causally concurrent messages are
 			// broadcast near-simultaneously from different processes so the two
@@ -168,7 +166,6 @@ func e8Spec(opts Options) spec {
 			return ec.New(p, nn)
 		}, transform.Driver(driver))
 		k := sim.New(fp, det, factory, sim.Options{Seed: opts.seed()})
-		defer opts.observe(k)()
 		k.SetObserver(rec)
 		k.RunUntil(30000, func(k *sim.Kernel) bool {
 			return k.Now() > 3000 && rec.AllDecided(fp.Correct(), 5)
@@ -199,7 +196,6 @@ func e8Spec(opts Options) spec {
 			return transform.NewECToEIC(p, nn, ec.New(p, nn))
 		}, transform.Driver(driver))
 		k := sim.New(fp, det, factory, sim.Options{Seed: opts.seed() + 1})
-		defer opts.observe(k)()
 		k.SetObserver(rec)
 		k.RunUntil(30000, func(k *sim.Kernel) bool {
 			return k.Now() > 2000 && rec.AllDecided(fp.Correct(), 5)

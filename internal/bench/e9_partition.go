@@ -114,7 +114,6 @@ func e9Cell(opts Options, c e9Case, splitAt model.Time, msgs, n int) cellOut {
 			return &sim.MultiPartitioned{Sides: c.sides, FirstAt: splitAt, Duration: c.dur}
 		},
 	})
-	defer opts.observe(k)()
 	k.SetObserver(rec)
 	var ids []string
 	var sentAt []model.Time

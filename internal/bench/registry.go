@@ -7,7 +7,7 @@ import (
 
 // cellOut is one cell's contribution to its experiment: consecutive table
 // rows, plus the kernel steps the cell executed (perf accounting surfaced in
-// the BENCH_*.json report; 0 for cells that run no kernel, like E4's CHT
+// the JSON report; 0 for cells that run no kernel, like E4's CHT
 // reduction).
 type cellOut struct {
 	rows  [][]string

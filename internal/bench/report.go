@@ -7,34 +7,14 @@ import (
 	"time"
 )
 
-// Report is the machine-readable record of a bench run, written by cmd/bench
-// as BENCH_<n>.json to track the perf trajectory across PRs.
+// Report is the machine-readable record of a bench run, written by
+// cmd/bench -json.
 //
-// Schema ("repro-bench/6" — rev 6 adds the optional "scaling_n" section: the
-// En cluster-size sweep, one row per n, recording kernel steps/sec and the
-// measured update envelopes and payload bytes per process of the all-to-all
-// broadcast; absent when the sweep was not requested. Reports written while
-// ETOB still had a gossip mode carry two rows per n, told apart by a "mode"
-// field, plus the analytic per-sender "send_fanout". Note "scaling" (rev 2)
-// remains the WORKER-count sweep — wall-time parallelism — while
-// "scaling_n" scales the simulated cluster itself.
-//
-// Rev 5 adds the optional "metrics" section: the
-// observability plane's overhead audit, comparing each experiment's median
-// cell time with the metrics registry off and on (same seeds, same repeat);
-// "within_spread" reports whether the delta sits inside the run's own
-// repeat-to-repeat spread plus a 0.5ms noise floor — the registry's
-// zero-hot-path-cost contract, measured. Absent when the comparison was not
-// requested. Rev 4 added the optional "latency" section: the
-// open-loop load sweep (internal/loadgen) crossing network presets with
-// broadcast-batching configurations, recording p50/p99/p999 visibility and
-// order-stability latency in kernel ticks plus messages sent and allocs/op
-// per cell; absent when the sweep was not requested, and the rest of the
-// report reads exactly like schema 3. Rev 3 added "spread_ms": the summed
-// per-cell time spread (max − min across the -repeat samples), so a reader
-// can judge how noisy the medians in "cell_ms" are; it is 0 when "repeat" is
-// 1. Rev 2 added "repeat": per-cell times are the median of that many
-// repetitions, taming single-core scheduling noise):
+// Schema "repro-bench/6". "scaling" is the optional WORKER-count sweep
+// (wall-time parallelism); "scaling_n" is the optional En sweep, which scales
+// the simulated cluster itself. Older reports under the same label may also
+// carry optional "micro", "latency" and "metrics" sections, which a reader
+// ignores:
 //
 //	{
 //	  "schema":     "repro-bench/6",
@@ -59,19 +39,7 @@ import (
 //	                               // count; each point reruns exactly the experiment
 //	                               // selection listed in "experiments" above
 //	    {"workers": 1, "wall_ms": 2000.0, "speedup": 1.0},
-//	    {"workers": 8, "wall_ms": 300.0,  "speedup": 6.7}],   // vs the first entry
-//	  "micro": [                   // kernel microbenchmarks (see Microbenchmarks)
-//	    {"name": "kernel/uniform", "iters": 30,
-//	     "ns_per_op": 590000, "allocs_per_op": 172}, ...],
-//	  "latency": [                 // optional open-loop load sweep (see LatencySweep)
-//	    {"preset": "uniform", "batch": "k=8", "ops": 20000, "resolved": 20000,
-//	     "visible_p50": 33, "visible_p99": 49, "visible_p999": 57,
-//	     "stable_p50": 33, "stable_p99": 49, "stable_p999": 57,
-//	     "messages_sent": 123456, "ops_per_sec": 250000,
-//	     "steps_per_sec": 800000, "allocs_per_op": 90, "wall_ms": 80.0}, ...],
-//	  "metrics": [                 // optional metrics-on/off overhead audit (MetricsCompare)
-//	    {"id": "E1", "off_ms": 456.7, "on_ms": 458.1, "delta_ms": 1.4,
-//	     "spread_ms": 12.3, "within_spread": true}, ...]
+//	    {"workers": 8, "wall_ms": 300.0,  "speedup": 6.7}]    // vs the first entry
 //	}
 type Report struct {
 	Schema      string           `json:"schema"`
@@ -84,9 +52,6 @@ type Report struct {
 	Experiments []ExpReport      `json:"experiments"`
 	ScalingN    []ScalingNResult `json:"scaling_n,omitempty"`
 	Scaling     []ScalingPoint   `json:"scaling,omitempty"`
-	Micro       []MicroResult    `json:"micro,omitempty"`
-	Latency     []LatencyResult  `json:"latency,omitempty"`
-	Metrics     []MetricsResult  `json:"metrics,omitempty"`
 }
 
 // ExpReport is one experiment's perf accounting inside a Report.

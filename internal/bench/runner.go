@@ -53,12 +53,12 @@ type Runner struct {
 	// (values <= 1 mean once). Cells are deterministic, so the rows are
 	// identical across repetitions and only the timing varies — the median
 	// tames the ±2× single-core scheduling noise that makes one-shot cell
-	// times unreliable in BENCH_*.json comparisons.
+	// times unreliable in JSON report comparisons.
 	Repeat int
 }
 
 // Result is one experiment's assembled table plus the perf accounting the
-// BENCH_*.json report records.
+// JSON report records.
 type Result struct {
 	Table Table
 	// Cells is the number of independent cells the experiment decomposed into
@@ -74,7 +74,7 @@ type Result struct {
 	// CellSpread is the summed per-cell time SPREAD (max − min across the
 	// Repeat samples; zero when Repeat <= 1 or a cell was sampled once): the
 	// run-to-run variance the medians in CellTime are taming, surfaced so a
-	// BENCH_*.json reader can judge how trustworthy each cell time is on a
+	// report reader can judge how trustworthy each cell time is on a
 	// noisy single-core runner.
 	CellSpread time.Duration
 	// ByCell holds each cell's rows in cell order: nil for cells this shard
@@ -209,7 +209,7 @@ func median(durs []time.Duration) time.Duration {
 }
 
 // spread returns max − min of the samples (zero for fewer than two): the
-// per-cell time-spread column of the repro-bench/4 report. Call after median
+// per-cell "spread_ms" column of the JSON report. Call after median
 // (which leaves durs sorted); a single sample has no spread to report.
 func spread(durs []time.Duration) time.Duration {
 	if len(durs) < 2 {

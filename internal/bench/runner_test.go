@@ -68,7 +68,7 @@ func TestRunnerParallelMatchesSerialAdversary(t *testing.T) {
 }
 
 // TestRunnerPerfAccounting: cells and steps must be populated — the
-// BENCH_*.json report depends on them.
+// JSON report depends on them.
 func TestRunnerPerfAccounting(t *testing.T) {
 	results, err := Runner{Opts: Options{Quick: true}, Parallel: 4}.Run([]string{"e1", "E9"})
 	if err != nil {

@@ -30,18 +30,40 @@ func lossyBatchedService(seed int64) *SimService {
 // TestRegisterSimMetricsMatchesStack pins that a sim-collected registry (a)
 // exposes the FULL parity set obs.StackNames plus the kernel counters, and
 // (b) reports the same numbers the stack's own accessors do — the ground
-// truth the live /metrics cross-check in internal/node relies on.
+// truth the live /metrics cross-check in internal/node relies on. It also
+// pins (c) that observation never perturbs a run: the same seed without a
+// registry takes the same steps, sends the same messages and ends in the
+// same replica states.
 func TestRegisterSimMetricsMatchesStack(t *testing.T) {
-	svc := lossyBatchedService(41)
+	run := func(reg *obs.Registry) *SimService {
+		svc := lossyBatchedService(41)
+		if reg != nil {
+			RegisterSimMetrics(reg, svc.Kernel(), 1)
+		}
+		for i := 0; i < 8; i++ {
+			svc.Submit(model.ProcID(1+i%3), model.Time(30+7*i), fmt.Sprintf("set k%d v%d", i, i))
+		}
+		if !svc.RunUntilConverged(60000) {
+			t.Fatal("lossy batched service did not converge")
+		}
+		return svc
+	}
 	reg := obs.NewRegistry()
-	RegisterSimMetrics(reg, svc.Kernel(), 1)
-	for i := 0; i < 8; i++ {
-		svc.Submit(model.ProcID(1+i%3), model.Time(30+7*i), fmt.Sprintf("set k%d v%d", i, i))
-	}
-	if !svc.RunUntilConverged(60000) {
-		t.Fatal("lossy batched service did not converge")
-	}
+	svc := run(reg)
 	reg.Collect()
+
+	bare := run(nil)
+	if got, want := svc.Kernel().Steps(), bare.Kernel().Steps(); got != want {
+		t.Errorf("observed run took %d steps, unobserved %d", got, want)
+	}
+	if got, want := svc.Kernel().MessagesSent(), bare.Kernel().MessagesSent(); got != want {
+		t.Errorf("observed run sent %d messages, unobserved %d", got, want)
+	}
+	for _, p := range model.Procs(3) {
+		if got, want := svc.Snapshot(p), bare.Snapshot(p); got != want {
+			t.Errorf("p%d final snapshot %q observed, %q unobserved", p, got, want)
+		}
+	}
 
 	names := make(map[string]bool)
 	for _, n := range reg.Names() {

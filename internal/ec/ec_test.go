@@ -159,3 +159,16 @@ func TestECIgnoresForeignPayloadsAndInputs(t *testing.T) {
 		t.Error("foreign input must not start an instance")
 	}
 }
+
+// BenchmarkECInstances measures Algorithm 4 instance throughput.
+func BenchmarkECInstances(b *testing.B) {
+	fp := model.NewFailurePattern(3)
+	det := fd.NewOmegaStable(fp, 1)
+	driver := func(p model.ProcID, inst int) (string, bool) { return "v", inst <= 50 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := sim.New(fp, det, DrivenFactory(driver), sim.Options{Seed: int64(i)})
+		k.Run(8000)
+	}
+}

@@ -20,8 +20,7 @@ import (
 // it, and flushes the queue — applying every queued UpdateCG in submission
 // order, then broadcasting a single update(CG_i) — when either:
 //
-//   - the queue reaches the batch-size target (MaxBatch, or the adaptive
-//     controller's current target), or
+//   - the queue reaches the batch-size target MaxBatch, or
 //   - a queued op has waited MaxLinger local timeouts (ticks), whichever
 //     comes first. Linger flushing runs at the START of Tick, before the
 //     leader's promote step, so a leader never promotes around its own
@@ -34,7 +33,7 @@ import (
 // individually. Explicit deps pass through, less any that CG_i does not hold
 // at flush time, as on the unbatched path (see Input).
 //
-// Degeneration: with MaxBatch <= 1 and Adaptive off, BroadcastETOB takes the
+// Degeneration: with MaxBatch <= 1, BroadcastETOB takes the
 // historical immediate path — the queue is never touched, and every trace is
 // byte-identical to the unbatched automaton (the golden tables pin this).
 //
@@ -46,30 +45,19 @@ import (
 // BatchOptions configures the batching layer of a (Commit)Automaton.
 type BatchOptions struct {
 	// MaxBatch is the batch-size target: the queue flushes when it holds
-	// this many ops. <= 1 disables batching (with Adaptive false) — the
-	// automaton behaves bit-for-bit like the unbatched one. Under Adaptive,
-	// MaxBatch is the controller's CAP (default 32).
+	// this many ops. <= 1 disables batching — the automaton behaves
+	// bit-for-bit like the unbatched one.
 	MaxBatch int
 	// MaxLinger is the maximum number of local timeouts (ticks) a queued op
 	// waits before a flush is forced regardless of queue depth. Default 1:
 	// an op never waits more than one tick beyond its submission.
 	MaxLinger int
-	// Adaptive enables the AIMD batch-size controller: the target starts at
-	// 1 and climbs by one each time a flush fills (queue-depth pressure says
-	// the window is too small), and halves each time a flush is forced by
-	// linger at under half the target (the batch is waiting on arrivals, so
-	// a larger window only adds tail latency — the local proxy for a p99
-	// regression). MaxBatch caps the climb.
-	Adaptive bool
 }
 
 // Enabled reports whether these options actually batch.
-func (o BatchOptions) Enabled() bool { return o.MaxBatch > 1 || o.Adaptive }
+func (o BatchOptions) Enabled() bool { return o.MaxBatch > 1 }
 
 func (o BatchOptions) withDefaults() BatchOptions {
-	if o.Adaptive && o.MaxBatch <= 1 {
-		o.MaxBatch = 32
-	}
 	if o.MaxLinger <= 0 {
 		o.MaxLinger = 1
 	}
@@ -88,14 +76,12 @@ type BatchStats struct {
 	Flushes int64
 	// FullFlushes and LingerFlushes split Flushes by trigger: queue depth
 	// reaching the target vs the linger timeout forcing out a partial batch.
-	// Their ratio is what the adaptive controller steers on.
 	FullFlushes   int64
 	LingerFlushes int64
 	// Ops is the number of broadcastETOB invocations that went through the
 	// queue (Ops/Flushes is the realized mean batch size).
 	Ops int64
-	// Target is the current batch-size target (MaxBatch when fixed; the
-	// controller's current value when adaptive).
+	// Target is the batch-size target, MaxBatch.
 	Target int
 	// Queued is the number of ops currently waiting for a flush.
 	Queued int
@@ -116,14 +102,7 @@ func BatchedFactory(o BatchOptions) model.AutomatonFactory {
 
 // SetBatch installs the batch options. Must be called before the automaton
 // takes its first step.
-func (a *Automaton) SetBatch(o BatchOptions) {
-	o = o.withDefaults()
-	a.batch = o
-	a.target = o.MaxBatch
-	if o.Adaptive {
-		a.target = 1
-	}
-}
+func (a *Automaton) SetBatch(o BatchOptions) { a.batch = o.withDefaults() }
 
 // BatchStats returns the batching layer's counters.
 func (a *Automaton) BatchStats() BatchStats {
@@ -132,13 +111,13 @@ func (a *Automaton) BatchStats() BatchStats {
 		FullFlushes:   a.fullFlushes,
 		LingerFlushes: a.lingerFlushes,
 		Ops:           a.batchedOps,
-		Target:        a.target,
+		Target:        a.batch.MaxBatch,
 		Queued:        len(a.pending),
 	}
 }
 
 // enqueue queues one broadcastETOB invocation and flushes if the queue
-// reached the current target.
+// reached the target.
 func (a *Automaton) enqueue(ctx model.Context, id string, deps []string) {
 	if a.cg.Has(id) || a.inQueue(id) {
 		return // duplicate broadcast of the same ID: ignore, as unbatched does
@@ -147,7 +126,7 @@ func (a *Automaton) enqueue(ctx model.Context, id string, deps []string) {
 	// C(m) non-nil, so it is not mistaken for a request for the frontier.
 	a.pending = append(a.pending, pendingOp{id: id, deps: slices.Clone(deps)})
 	a.batchedOps++
-	if len(a.pending) >= a.target {
+	if len(a.pending) >= a.batch.MaxBatch {
 		a.flush(ctx, true)
 	}
 }
@@ -166,16 +145,14 @@ func (a *Automaton) inQueue(id string) bool {
 
 // flush applies every queued op to CG_i in submission order and broadcasts
 // one update(CG_i). full reports whether the flush was triggered by queue
-// depth (as opposed to linger), which is what the adaptive controller feeds
-// on.
+// depth (as opposed to linger).
 func (a *Automaton) flush(ctx model.Context, full bool) {
 	if len(a.pending) == 0 {
 		return
 	}
-	flushed := len(a.pending)
 	var ids []string
 	if a.onFlush != nil {
-		ids = make([]string, 0, flushed)
+		ids = make([]string, 0, len(a.pending))
 	}
 	for i := range a.pending {
 		op := &a.pending[i]
@@ -195,26 +172,6 @@ func (a *Automaton) flush(ctx model.Context, full bool) {
 	ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	if a.onFlush != nil {
 		a.onFlush(ids)
-	}
-	if a.batch.Adaptive {
-		a.adapt(full, flushed)
-	}
-}
-
-// adapt is the AIMD controller: additive increase on queue-depth pressure,
-// halving decrease when linger forces out a batch that filled to under half
-// the target (see BatchOptions.Adaptive).
-func (a *Automaton) adapt(full bool, flushed int) {
-	switch {
-	case full:
-		if a.target < a.batch.MaxBatch {
-			a.target++
-		}
-	case flushed*2 < a.target:
-		a.target /= 2
-		if a.target < 1 {
-			a.target = 1
-		}
 	}
 }
 

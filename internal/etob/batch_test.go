@@ -214,57 +214,6 @@ func TestBatchDuplicateIDIgnored(t *testing.T) {
 	}
 }
 
-func TestBatchAdaptiveAIMD(t *testing.T) {
-	// The controller climbs by one per full flush and halves on a linger
-	// flush that filled to under half the target.
-	a := NewBatched(1, 2, BatchOptions{Adaptive: true, MaxBatch: 8, MaxLinger: 1})
-	ctx := &fakeCtx{}
-	a.Init(ctx)
-	if a.target != 1 {
-		t.Fatalf("adaptive target starts at %d, want 1", a.target)
-	}
-	// Sustained pressure: submit until the window fills and flushes (the
-	// flush empties the queue, so each fill ends on a full flush exactly).
-	next := 0
-	fill := func() {
-		start := a.flushes
-		for a.flushes == start {
-			next++
-			a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-		}
-	}
-	for i := 0; i < 4; i++ {
-		fill() // full flush → +1
-	}
-	if a.target != 5 {
-		t.Fatalf("after 4 full flushes target = %d, want 5", a.target)
-	}
-	for i := 0; i < 10; i++ {
-		fill()
-	}
-	if a.target != 8 {
-		t.Fatalf("target %d exceeded or never reached the MaxBatch cap 8", a.target)
-	}
-	// Starvation: one lone op lingers out at 1 < 8/2 → halve.
-	next++
-	a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-	a.Tick(ctx)
-	if a.target != 4 {
-		t.Fatalf("after a starved linger flush target = %d, want 4", a.target)
-	}
-	// Repeated starvation settles at 2: halving needs the flush to fill to
-	// UNDER half the target, and 1 op is exactly half of 2 — batching stays
-	// armed instead of disabling itself.
-	for i := 0; i < 6; i++ {
-		next++
-		a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-		a.Tick(ctx)
-	}
-	if a.target != 2 {
-		t.Fatalf("repeated starvation target = %d, want 2", a.target)
-	}
-}
-
 func TestBatchCommitComposition(t *testing.T) {
 	// The commit layer rides on the batched core: a batched CommitAutomaton
 	// cluster still commits every op.

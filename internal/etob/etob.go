@@ -26,9 +26,9 @@
 // A batching layer (batch.go, BatchOptions) coalesces k pending
 // broadcastETOB invocations into one update(CG_i) message — same wire
 // vocabulary, same receiver logic, ~k× fewer broadcasts — under a
-// max-batch-size + max-linger flush policy with an optional AIMD self-tuning
-// target; at k=1 it degenerates bit-for-bit to the unbatched automaton. See
-// the flush-policy contract in batch.go.
+// max-batch-size + max-linger flush policy; at k=1 it degenerates
+// bit-for-bit to the unbatched automaton. See the flush-policy contract in
+// batch.go.
 //
 // Dissemination is the paper's: every flush sends the whole update(CG_i) to
 // all n processes. Lemma 3 needs only eventual receipt, and the
@@ -106,7 +106,6 @@ type Automaton struct {
 	batch         BatchOptions
 	pending       []pendingOp
 	linger        int   // ticks the oldest queued op has waited
-	target        int   // current batch-size target (fixed or adaptive)
 	flushes       int64 // update broadcasts emitted by the batch layer
 	fullFlushes   int64 // flushes triggered by queue depth
 	lingerFlushes int64 // flushes forced by the linger timeout

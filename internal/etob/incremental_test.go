@@ -120,7 +120,7 @@ func (dp *diffProc) check(t *testing.T, where string) {
 // graph changed between its send and its delivery.
 func TestIncrementalMatchesFullReference(t *testing.T) {
 	const n = 3
-	opts := []BatchOptions{{}, {MaxBatch: 3, MaxLinger: 2}, {Adaptive: true, MaxBatch: 4}}
+	opts := []BatchOptions{{}, {MaxBatch: 3, MaxLinger: 2}, {MaxBatch: 4}}
 	for seed := int64(1); seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var pool []sent

@@ -1,13 +1,13 @@
 // Package obs is the repo's observability plane: a dependency-free metrics
-// registry (atomic counters, gauges, and the HDR-style log-bucketed Histogram
-// extracted from internal/loadgen), a Prometheus text exposition served at
+// registry (atomic counters, gauges, and an HDR-style log-bucketed
+// Histogram), a Prometheus text exposition served at
 // GET /metrics, and a bounded-ring op-lifecycle tracer served at GET /trace.
 //
 // The paper's guarantees are all eventual — ETOB-Stability and EC-Agreement
 // hold "for some τ" — so operating the system means WATCHING τ converge, not
 // just asserting it post-hoc in internal/trace: retransmit pendings draining
-// after a partition heals, Ω flap counts settling after churn, batch depth
-// adapting to load. This package is the mechanism; internal/core wires it to
+// after a partition heals, Ω flap counts settling after churn, batch flushes
+// tracking load. This package is the mechanism; internal/core wires it to
 // the protocol stack, internal/node and internal/lb mount the endpoints.
 //
 // # Naming conventions
@@ -56,7 +56,8 @@
 //     per-step instruction stream as a metrics-off run.
 //
 // scripts/metrics_overhead.sh enforces rule 3's consequence in CI: kernel
-// ns/op with a registry attached must stay within 5% of the bare kernel, and
-// the BENCH_7.json "metrics" section records the same comparison per
-// experiment (parity within each experiment's measured spread).
+// ns/op with a registry attached must stay within 5% of the bare kernel.
+// internal/core's TestRegisterSimMetricsMatchesStack pins the other half:
+// the same seed with and without a registry takes the same steps, sends the
+// same messages and ends in the same replica states.
 package obs

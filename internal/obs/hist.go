@@ -19,8 +19,7 @@ import (
 // requests are in flight. Reads taken during concurrent writes are weakly
 // consistent — count, sum, and buckets are each atomically correct but are
 // not a single snapshot — which is the standard scrape contract. For a
-// single-threaded recorder (the simulator, loadgen) every accessor returns
-// exactly what the pre-extraction loadgen histogram returned.
+// single-threaded recorder (the simulator) every accessor is exact.
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64

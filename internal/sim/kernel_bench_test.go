@@ -38,8 +38,7 @@ func BenchmarkKernelJittery(b *testing.B) {
 	benchKernel(b, Options{Seed: 1, Network: func() NetworkModel { return NewJittery(20) }})
 }
 
-// benchNs are the cluster sizes the big-n benchmarks sweep; mirrored in
-// internal/bench's microScale so BENCH_*.json tracks the same points.
+// benchNs are the cluster sizes the big-n benchmarks sweep.
 var benchNs = []int{5, 64, 256}
 
 // bcastAuto broadcasts once per input and is otherwise inert, so a run's

@@ -46,8 +46,8 @@ type Command struct {
 // only the DELTA: the command IDs applied by this change, in order, and the
 // total applied count after it — not the full sequence and not a snapshot.
 // (It used to carry both, which made the output O(applied) per change and the
-// whole run quadratic in ops; under the open-loop load harness that copying
-// dominated everything. Observers that want the full sequence accumulate the
+// whole run quadratic in ops; under sustained load that copying dominated
+// everything. Observers that want the full sequence accumulate the
 // deltas — a Rebuilt change restarts the accumulation — and ones that want
 // the machine state ask the Replica.) Rebuilt reports whether the replica
 // replayed from scratch because its delivered prefix changed (only possible
