@@ -119,23 +119,6 @@ func (s OmegaSpec) Build(fp *model.FailurePattern) *fd.Omega {
 	}
 }
 
-// ReplicaStack builds the full automaton stack of ONE service replica for a
-// consistency level: the broadcast protocol (ETOB for Eventual, a Paxos log
-// for the strong variants) driving the replicated machine (nil = KV store),
-// optionally wrapped in the retransmission layer (nil rt = bare). This is the
-// single definition of "a replica" shared by every way of running one — the
-// deterministic kernel (NewSimService), the in-process live cluster
-// (NewLiveService), and the deployable node (internal/node) all feed the SAME
-// factory to their runtime, which is what makes cross-runtime conformance
-// (runtime.Replay) meaningful.
-//
-// Note the stack does not choose the failure detector: StrongSigma replicas
-// additionally require a Σ oracle next to Ω, which only the simulator can
-// provide (see NewLiveService).
-func ReplicaStack(c Consistency, machine smr.MachineFactory, rt *retransmit.Options) model.AutomatonFactory {
-	return ReplicaStackWith(c, StackOptions{Machine: machine, Retransmit: rt})
-}
-
 // StackOptions carries the optional layers of a replica stack (see
 // ReplicaStackWith).
 type StackOptions struct {
@@ -143,16 +126,20 @@ type StackOptions struct {
 	Machine smr.MachineFactory
 	// Retransmit wraps the stack in the retransmission layer (nil = bare).
 	Retransmit *retransmit.Options
-	// Batch configures ETOB's op-coalescing layer (Eventual only; the
-	// strong variants' Paxos log has no batching layer and ignores it). The
-	// zero value — batching disabled — keeps the stack bit-for-bit identical
-	// to the historical one.
-	Batch etob.BatchOptions
 }
 
-// ReplicaStackWith is ReplicaStack with the optional layers spelled out —
-// notably ETOB's batching layer, which amortizes one update broadcast over k
-// queued commands (internal/etob's BatchOptions).
+// ReplicaStackWith builds the full automaton stack of ONE service replica for
+// a consistency level: the broadcast protocol (ETOB for Eventual, a Paxos log
+// for the strong variants) driving the replicated machine, optionally wrapped
+// in the retransmission layer. This is the single definition of "a replica"
+// shared by every way of running one — the deterministic kernel
+// (NewSimService), the in-process live cluster (NewLiveService), and the
+// deployable node (internal/node) all feed the SAME factory to their runtime,
+// which is what makes cross-runtime conformance (runtime.Replay) meaningful.
+//
+// Note the stack does not choose the failure detector: StrongSigma replicas
+// additionally require a Σ oracle next to Ω, which only the simulator can
+// provide (see NewLiveService).
 func ReplicaStackWith(c Consistency, o StackOptions) model.AutomatonFactory {
 	if o.Machine == nil {
 		o.Machine = smr.KVFactory
@@ -160,11 +147,7 @@ func ReplicaStackWith(c Consistency, o StackOptions) model.AutomatonFactory {
 	var broadcast model.AutomatonFactory
 	switch c {
 	case Eventual, 0:
-		if o.Batch.Enabled() {
-			broadcast = etob.BatchedFactory(o.Batch)
-		} else {
-			broadcast = etob.Factory()
-		}
+		broadcast = etob.Factory()
 	case Strong:
 		broadcast = consensus.LogFactory(consensus.MajorityQuorums)
 	case StrongSigma:
@@ -209,9 +192,6 @@ type Config struct {
 	// churn (Sim.Faults with restarts) — where the paper's eventual-delivery
 	// assumption must be restored end-to-end for convergence to hold.
 	Retransmit bool
-	// Batch configures ETOB's op-coalescing layer (Eventual only); the zero
-	// value keeps the historical unbatched behavior.
-	Batch etob.BatchOptions
 }
 
 // SimService is a replicated service running on the deterministic simulator.
@@ -246,7 +226,7 @@ func NewSimService(cfg Config) *SimService {
 		rt = &retransmit.Options{Seed: cfg.Sim.Seed}
 	}
 	rec := trace.NewRecorder(cfg.N)
-	factory := ReplicaStackWith(cfg.Consistency, StackOptions{Machine: cfg.Machine, Retransmit: rt, Batch: cfg.Batch})
+	factory := ReplicaStackWith(cfg.Consistency, StackOptions{Machine: cfg.Machine, Retransmit: rt})
 	k := sim.New(cfg.Failures, det, factory, cfg.Sim)
 	k.SetObserver(rec)
 	return &SimService{cfg: cfg, kernel: k, rec: rec, det: det}
@@ -341,7 +321,7 @@ func NewLiveService(n int, c Consistency, machine smr.MachineFactory, opts runti
 	}
 	rec := trace.NewRecorder(n)
 	opts.Observer = rec
-	cluster := runtime.NewCluster(n, ReplicaStack(c, machine, nil), opts)
+	cluster := runtime.NewCluster(n, ReplicaStackWith(c, StackOptions{Machine: machine}), opts)
 	return &LiveService{cluster: cluster, rec: rec}
 }
 

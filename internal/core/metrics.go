@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/etob"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/retransmit"
@@ -24,7 +23,7 @@ import (
 // reg under the canonical obs.StackNames. The caller must hold whatever
 // synchronization the automaton requires (Proc.Inspect live; not-running in
 // the simulator). Layers the stack was built without (no retransmission
-// wrapper, no batching) register zeros, so a scrape always serves the full
+// wrapper) register zeros, so a scrape always serves the full
 // parity set.
 func CollectStackMetrics(reg *obs.Registry, a model.Automaton) {
 	var (
@@ -55,17 +54,6 @@ func CollectStackMetrics(reg *obs.Registry, a model.Automaton) {
 	}
 	reg.Counter(obs.MetricSMRApplied).Set(int64(applied))
 	reg.Counter(obs.MetricSMRRebuilds).Set(int64(rebuilds))
-
-	var bs etob.BatchStats
-	if b, ok := inner.(interface{ BatchStats() etob.BatchStats }); ok && inner != nil {
-		bs = b.BatchStats()
-	}
-	reg.Counter(obs.MetricBatchFlushes).Set(bs.Flushes)
-	reg.Counter(obs.MetricBatchFullFlushes).Set(bs.FullFlushes)
-	reg.Counter(obs.MetricBatchLingerFlushes).Set(bs.LingerFlushes)
-	reg.Counter(obs.MetricBatchOps).Set(bs.Ops)
-	reg.Gauge(obs.MetricBatchTarget).Set(int64(bs.Target))
-	reg.Gauge(obs.MetricBatchQueued).Set(int64(bs.Queued))
 
 	var undelivered int
 	if u, ok := inner.(interface{ Undelivered() int }); ok && inner != nil {

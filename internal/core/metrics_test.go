@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/etob"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/retransmit"
@@ -13,16 +12,15 @@ import (
 	"repro/internal/sim/adversary"
 )
 
-// lossyBatchedService builds the deepest sim stack — retransmission over a
-// lossy network, ETOB batching on — so every layer CollectStackMetrics knows
-// about is present and exercised.
-func lossyBatchedService(seed int64) *SimService {
+// lossyService builds the deepest sim stack — retransmission over a lossy
+// network — so every layer CollectStackMetrics knows about is present and
+// exercised.
+func lossyService(seed int64) *SimService {
 	o := simSeed(seed)
 	o.Network = func() sim.NetworkModel { return &adversary.Lossy{Drop: 0.25, Burst: 3} }
 	return NewSimService(Config{
 		N:          3,
 		Retransmit: true,
-		Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
 		Sim:        o,
 	})
 }
@@ -36,7 +34,7 @@ func lossyBatchedService(seed int64) *SimService {
 // same replica states.
 func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 	run := func(reg *obs.Registry) *SimService {
-		svc := lossyBatchedService(41)
+		svc := lossyService(41)
 		if reg != nil {
 			RegisterSimMetrics(reg, svc.Kernel(), 1)
 		}
@@ -44,7 +42,7 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 			svc.Submit(model.ProcID(1+i%3), model.Time(30+7*i), fmt.Sprintf("set k%d v%d", i, i))
 		}
 		if !svc.RunUntilConverged(60000) {
-			t.Fatal("lossy batched service did not converge")
+			t.Fatal("lossy service did not converge")
 		}
 		return svc
 	}
@@ -86,7 +84,6 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		t.Fatalf("stack root is %T, want *retransmit.Automaton", a)
 	}
 	rep := UnwrapReplica(a)
-	bs := rep.Inner().(interface{ BatchStats() etob.BatchStats }).BatchStats()
 	checks := []struct {
 		name string
 		want int64
@@ -99,10 +96,6 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		{obs.MetricRetransmitRTO, int64(w.LearnedRTO())},
 		{obs.MetricSMRApplied, int64(rep.AppliedCount())},
 		{obs.MetricSMRRebuilds, int64(rep.Rebuilds())},
-		{obs.MetricBatchFlushes, bs.Flushes},
-		{obs.MetricBatchFullFlushes, bs.FullFlushes},
-		{obs.MetricBatchLingerFlushes, bs.LingerFlushes},
-		{obs.MetricBatchOps, bs.Ops},
 		{obs.MetricKernelSteps, svc.Kernel().Steps()},
 		{obs.MetricKernelSent, svc.Kernel().MessagesSent()},
 		{obs.MetricKernelLost, svc.Kernel().MessagesLost()},
@@ -126,18 +119,11 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 	if reg.Value(obs.MetricSMRApplied) != 8 {
 		t.Errorf("smr_applied_total = %d, want 8", reg.Value(obs.MetricSMRApplied))
 	}
-	if reg.Value(obs.MetricBatchFlushes) == 0 {
-		t.Error("batched run produced no batch flushes")
-	}
-	if bs.FullFlushes+bs.LingerFlushes != bs.Flushes {
-		t.Errorf("flush trigger split %d+%d != total %d", bs.FullFlushes, bs.LingerFlushes, bs.Flushes)
-	}
 }
 
 // TestCollectStackMetricsBareStack pins the missing-layer contract: a stack
-// built without retransmission or batching still registers the full parity
-// set, with zeros where the layers are absent — a scrape never serves a
-// partial name set.
+// built without retransmission still registers the full parity set, with
+// zeros where the layer is absent — a scrape never serves a partial name set.
 func TestCollectStackMetricsBareStack(t *testing.T) {
 	svc := NewSimService(Config{N: 2, Sim: simSeed(3)})
 	svc.Submit(1, 30, "set a 1")
@@ -161,9 +147,6 @@ func TestCollectStackMetricsBareStack(t *testing.T) {
 	if got := reg.Value(obs.MetricRetransmitRTO); got != 0 {
 		t.Errorf("unwrapped stack reports retransmit_rto_ticks = %d, want 0", got)
 	}
-	if got := reg.Value(obs.MetricBatchFlushes); got != 0 {
-		t.Errorf("unbatched stack reports batch flushes = %d, want 0", got)
-	}
 	if got := reg.Value(obs.MetricSMRApplied); got != 1 {
 		t.Errorf("smr_applied_total = %d, want 1", got)
 	}
@@ -180,7 +163,6 @@ func benchServiceRun(b *testing.B, metrics bool) {
 		svc := NewSimService(Config{
 			N:          3,
 			Retransmit: true,
-			Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
 			Sim:        simSeed(17),
 		})
 		var reg *obs.Registry

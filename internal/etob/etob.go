@@ -23,16 +23,10 @@
 //  3. TOB-Causal-Order holds at all times, even while Ω outputs different
 //     leaders at different processes.
 //
-// A batching layer (batch.go, BatchOptions) coalesces k pending
-// broadcastETOB invocations into one update(CG_i) message — same wire
-// vocabulary, same receiver logic, ~k× fewer broadcasts — under a
-// max-batch-size + max-linger flush policy; at k=1 it degenerates
-// bit-for-bit to the unbatched automaton. See the flush-policy contract in
-// batch.go.
-//
-// Dissemination is the paper's: every flush sends the whole update(CG_i) to
-// all n processes. Lemma 3 needs only eventual receipt, and the
-// retransmission layer (internal/retransmit) restores that over lossy links.
+// Dissemination is the paper's: every broadcastETOB sends the whole
+// update(CG_i) to all n processes. Lemma 3 needs only eventual receipt, and
+// the retransmission layer (internal/retransmit) restores that over lossy
+// links.
 package etob
 
 import (
@@ -100,21 +94,9 @@ type Automaton struct {
 	promoteCtr int64                  // counter stamped on our promote messages
 	lastCtr    map[model.ProcID]int64 // highest promote counter adopted per sender
 
-	// Batching layer (batch.go): queued broadcastETOB invocations awaiting
-	// one coalesced update(CG_i). Inert — never touched — unless
-	// batch.Enabled().
-	batch         BatchOptions
-	pending       []pendingOp
-	linger        int   // ticks the oldest queued op has waited
-	flushes       int64 // update broadcasts emitted by the batch layer
-	fullFlushes   int64 // flushes triggered by queue depth
-	lingerFlushes int64 // flushes forced by the linger timeout
-	batchedOps    int64 // ops that went through the queue
-
-	// onFlush, when set, is called with the op IDs each update(CG_i)
-	// broadcast carries (the flushed batch, or the single op on the unbatched
-	// path). Observability tap — see SetFlushHook.
-	onFlush func(ids []string)
+	// onFlush, when set, is called with the op ID each update(CG_i)
+	// broadcast carries. Observability tap — see SetFlushHook.
+	onFlush func(id string)
 }
 
 var _ model.Automaton = (*Automaton)(nil)
@@ -158,30 +140,22 @@ func (a *Automaton) Input(ctx model.Context, in any) {
 }
 
 // BroadcastETOB invokes broadcastETOB(m, C(m)) programmatically (used by the
-// ETOB→EC transformation, which drives ETOB as a black box). With batching
-// enabled (SetBatch) the op is queued for a coalesced update instead — see
-// the flush-policy contract in batch.go.
+// ETOB→EC transformation, which drives ETOB as a black box).
 func (a *Automaton) BroadcastETOB(ctx model.Context, id string, deps []string) {
-	if a.batch.Enabled() {
-		a.enqueue(ctx, id, deps)
-		return
-	}
 	if a.cg.Has(id) {
 		return // duplicate broadcast of the same ID: ignore
 	}
 	a.updateCG(id, a.resolveDeps(deps))
 	ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	if a.onFlush != nil {
-		a.onFlush([]string{id})
+		a.onFlush(id)
 	}
 }
 
 // SetFlushHook installs an observability tap called, from within the step
-// that broadcasts, with the op IDs each update(CG_i) carries — the flushed
-// batch, or the single op on the unbatched path. The node's op-lifecycle
-// tracer stamps its batch-flush and broadcast stages here. The hook must not
-// retain the slice.
-func (a *Automaton) SetFlushHook(fn func(ids []string)) { a.onFlush = fn }
+// that broadcasts, with the op ID the update(CG_i) carries. The node's
+// op-lifecycle tracer stamps its broadcast stage here.
+func (a *Automaton) SetFlushHook(fn func(id string)) { a.onFlush = fn }
 
 // Undelivered returns how many ops are known to CG_i but not yet in the
 // output sequence d_i — the unresolved-dependency stall depth the eventual
@@ -216,13 +190,8 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 	}
 }
 
-// Tick implements model.Automaton: the "local timeout" of Algorithm 5. With
-// batching enabled, the linger half of the flush policy runs first, so a
-// leader flushes its own queued ops before promoting.
+// Tick implements model.Automaton: the "local timeout" of Algorithm 5.
 func (a *Automaton) Tick(ctx model.Context) {
-	if a.batch.Enabled() {
-		a.tickBatch(ctx)
-	}
 	leader, ok := fd.LeaderOf(ctx.FD())
 	if !ok || leader != a.self {
 		return

@@ -81,19 +81,17 @@ type diffProc struct {
 	ref *refProc
 }
 
-func newDiffProc(p model.ProcID, n int, o BatchOptions) *diffProc {
-	dp := &diffProc{a: NewBatched(p, n, o), ref: &refProc{cg: causal.New(), explicit: map[string][]string{}}}
-	dp.a.SetFlushHook(func(ids []string) {
+func newDiffProc(p model.ProcID, n int) *diffProc {
+	dp := &diffProc{a: New(p, n), ref: &refProc{cg: causal.New(), explicit: map[string][]string{}}}
+	dp.a.SetFlushHook(func(id string) {
 		r := dp.ref
-		for _, id := range ids {
-			deps, ok := r.explicit[id]
-			if !ok {
-				deps = bruteFrontier(r.cg)
-			} else {
-				deps = slices.DeleteFunc(slices.Clone(deps), func(d string) bool { return !r.cg.Has(d) })
-			}
-			r.cg.Add(id, deps)
+		deps, ok := r.explicit[id]
+		if !ok {
+			deps = bruteFrontier(r.cg)
+		} else {
+			deps = slices.DeleteFunc(slices.Clone(deps), func(d string) bool { return !r.cg.Has(d) })
 		}
+		r.cg.Add(id, deps)
 	})
 	return dp
 }
@@ -114,20 +112,19 @@ func (dp *diffProc) check(t *testing.T, where string) {
 
 // TestIncrementalMatchesFullReference drives three processes through random
 // schedules — reordered, duplicated and stale updates, sender restarts (a new
-// lineage), gob round-tripped updates (no lineage), explicit deps, and
-// batching — and holds each automaton's CG_i, frontier and promote_i to the
+// lineage), gob round-tripped updates (no lineage) and explicit deps — and
+// holds each automaton's CG_i, frontier and promote_i to the
 // full-walk reference after every step. It also checks that no update's
 // graph changed between its send and its delivery.
 func TestIncrementalMatchesFullReference(t *testing.T) {
 	const n = 3
-	opts := []BatchOptions{{}, {MaxBatch: 3, MaxLinger: 2}, {MaxBatch: 4}}
 	for seed := int64(1); seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var pool []sent
 		procs := make([]*diffProc, n+1)
 		ctx := func(p model.ProcID) capCtx { return capCtx{self: p, n: n, out: &pool} }
 		for _, p := range model.Procs(n) {
-			procs[p] = newDiffProc(p, n, opts[int(p)-1])
+			procs[p] = newDiffProc(p, n)
 		}
 		ops := 0
 		for step := 0; step < 300; step++ {
@@ -175,10 +172,10 @@ func TestIncrementalMatchesFullReference(t *testing.T) {
 					t.Fatalf("%s: reference Extend: %v", where, err)
 				}
 				r.promote = next
-			case r < 97: // local timeout: flushes lingering batches
+			case r < 97: // local timeout
 				dp.a.Tick(ctx(p))
 			default: // restart: a fresh incarnation with a new lineage
-				procs[p] = newDiffProc(p, n, opts[int(p)-1])
+				procs[p] = newDiffProc(p, n)
 				dp = procs[p]
 			}
 			dp.check(t, where)
@@ -243,26 +240,24 @@ func TestSentPayloadsImmutable(t *testing.T) {
 }
 
 // TestUnknownDepsDropped: an explicit dependency CG_i does not hold is
-// dropped on the unbatched and the batched path alike, so it never becomes a
-// placeholder node, and its real history arriving later is ordered normally.
+// dropped, so it never becomes a placeholder node, and its real history
+// arriving later is ordered normally.
 func TestUnknownDepsDropped(t *testing.T) {
-	for _, o := range []BatchOptions{{}, {MaxBatch: 2}} {
-		var out []sent
-		ctx := capCtx{self: 1, n: 2, out: &out}
-		a := NewBatched(1, 2, o)
-		a.BroadcastETOB(ctx, "a", nil)
-		a.BroadcastETOB(ctx, "b", []string{"a", "ghost"})
-		if a.cg.Has("ghost") || !a.cg.HasEdge("b", "a") || a.cg.Len() != 2 {
-			t.Fatalf("batch %+v: CG_i = %v, want a<-{}; b<-{a}", o, a.cg)
-		}
-		a.Recv(ctx, 1, out[len(out)-1].payload)
-		g := causal.New()
-		g.Add("x", nil)
-		g.Add("ghost", []string{"x"})
-		a.Recv(ctx, 2, UpdateMsg{CG: g})
-		if want := []string{"a", "b", "x", "ghost"}; !slices.Equal(a.Promote(), want) {
-			t.Fatalf("batch %+v: promote_i = %v, want %v", o, a.Promote(), want)
-		}
+	var out []sent
+	ctx := capCtx{self: 1, n: 2, out: &out}
+	a := New(1, 2)
+	a.BroadcastETOB(ctx, "a", nil)
+	a.BroadcastETOB(ctx, "b", []string{"a", "ghost"})
+	if a.cg.Has("ghost") || !a.cg.HasEdge("b", "a") || a.cg.Len() != 2 {
+		t.Fatalf("CG_i = %v, want a<-{}; b<-{a}", a.cg)
+	}
+	a.Recv(ctx, 1, out[len(out)-1].payload)
+	g := causal.New()
+	g.Add("x", nil)
+	g.Add("ghost", []string{"x"})
+	a.Recv(ctx, 2, UpdateMsg{CG: g})
+	if want := []string{"a", "b", "x", "ghost"}; !slices.Equal(a.Promote(), want) {
+		t.Fatalf("promote_i = %v, want %v", a.Promote(), want)
 	}
 }
 

@@ -6,10 +6,13 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/smr"
 )
 
 // scrapeMetrics fetches one endpoint's /metrics and strict-parses the
@@ -111,10 +114,12 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 		if st.Leader != int(vals[obs.MetricOmegaLeader]) {
 			t.Errorf("node %v status leader %d != scraped %d", nd.ID(), st.Leader, vals[obs.MetricOmegaLeader])
 		}
+		if st.Flushes == 0 {
+			t.Errorf("node %v transport reports zero writer flushes in /status", nd.ID())
+		}
 
 		// Trace: every op this node submitted has a full causal timeline —
-		// submit, batch-flush, broadcast, local deliver — and an
-		// order-stability reading.
+		// submit, broadcast, local deliver — and an order-stability reading.
 		self := fmt.Sprintf("p%d.", int(nd.ID()))
 		var idx struct {
 			Tracked int      `json:"tracked"`
@@ -158,7 +163,7 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 			for _, ev := range tl.Events {
 				stages[ev.Stage]++
 			}
-			for _, stage := range []string{"submit", "batch-flush", "broadcast", "deliver"} {
+			for _, stage := range []string{"submit", "broadcast", "deliver"} {
 				if stages[stage] == 0 {
 					t.Errorf("op %q on node %v missing %s stage (timeline %v)", op, nd.ID(), stage, stages)
 				}
@@ -197,7 +202,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	nd := c.nodes[0]
 	prev := map[string]int64{}
 	counters := []string{
-		obs.MetricNodeAccepted, obs.MetricSMRApplied, obs.MetricBatchFlushes,
+		obs.MetricNodeAccepted, obs.MetricSMRApplied,
 		obs.MetricTransportFlushes, obs.MetricRetransmitResends, obs.MetricRetransmitSuperseded,
 		obs.MetricTransportBytesSent,
 	}
@@ -216,5 +221,48 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	}
 	if prev[obs.MetricTransportBytesSent] == 0 {
 		t.Error("transport_bytes_sent_total stayed 0 under live traffic")
+	}
+}
+
+// countingKV is a KV store that counts its Snapshot calls.
+type countingKV struct {
+	*smr.KVStore
+	snapshots *atomic.Int64
+}
+
+func (m countingKV) Snapshot() string {
+	m.snapshots.Add(1)
+	return m.KVStore.Snapshot()
+}
+
+// TestMetricsScrapeTakesNoSnapshot pins that a /metrics scrape costs the
+// stack's counters, not the machine's state: N scrapes call the machine's
+// Snapshot zero times, while /status still serves the current snapshot.
+func TestMetricsScrapeTakesNoSnapshot(t *testing.T) {
+	var snapshots atomic.Int64
+	c := newClusterWith(t, 2, func(cfg *node.Config) {
+		cfg.Machine = func() smr.StateMachine { return countingKV{smr.NewKVStore(), &snapshots} }
+	})
+	waitHealthy(t, c, 2, 10*time.Second)
+	if err := c.update("snap", "set s 1"); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	waitConverged(t, c.nodes, 1, map[string]string{"s": "1"}, 20*time.Second)
+
+	nd := c.nodes[0]
+	before := snapshots.Load()
+	const scrapes = 5
+	for i := 0; i < scrapes; i++ {
+		scrapeMetrics(t, nd.URL())
+	}
+	if got := snapshots.Load() - before; got != 0 {
+		t.Errorf("%d /metrics scrapes took %d machine snapshots, want 0", scrapes, got)
+	}
+	st, err := nodeStatus(nd)
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if st.Snapshot != "s=1" {
+		t.Errorf("/status snapshot = %q, want %q", st.Snapshot, "s=1")
 	}
 }

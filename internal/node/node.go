@@ -1,6 +1,6 @@
 // Package node wraps one service replica as a deployable process: the same
 // automaton stack the simulator and the in-process cluster run
-// (core.ReplicaStack — retransmission, broadcast protocol, replicated
+// (core.ReplicaStackWith — retransmission, broadcast protocol, replicated
 // machine), driven by a runtime.Proc over a real TCP transport, fronted by a
 // small HTTP API for client operations and introspection.
 //
@@ -131,12 +131,6 @@ type Config struct {
 	// Retransmit tunes the retransmission layer. Nil gets a per-ID seed and
 	// DefaultGiveUpTicks.
 	Retransmit *retransmit.Options
-	// Batch configures ETOB broadcast batching (internal/etob's flush-policy
-	// contract): HTTP-submitted updates queue at the broadcast layer and ride
-	// the next window — one update message per flush instead of one per
-	// command — shrinking both wire traffic and the retransmission layer's
-	// sender state by the batch factor. The zero value disables batching.
-	Batch etob.BatchOptions
 	// Fault, if non-nil, wraps the TCP transport in a runtime.FaultTransport
 	// seeded with this config — the live chaos injector. The handle is
 	// available via Fault() for scripting partitions and heals.
@@ -174,15 +168,11 @@ type Node struct {
 	closeOnce sync.Once
 	httpDone  chan struct{}
 
-	// Observability plane: the metrics registry behind GET /metrics (and,
-	// since the migration, /status), the op-lifecycle tracer behind
-	// GET /trace, and a snapshot cache the registry's scrape hook refreshes
-	// alongside the stack counters (one Proc.Inspect serves both).
+	// Observability plane: the metrics registry behind GET /metrics and
+	// /status, and the op-lifecycle tracer behind GET /trace.
 	reg     *obs.Registry
 	tracer  *obs.OpTracer
 	httpLat *obs.Histogram
-	snapMu  sync.Mutex
-	snap    string
 }
 
 // New builds and starts a replica node: transport bound, event loop running,
@@ -259,7 +249,6 @@ func New(cfg Config) (*Node, error) {
 	n.proc = runtime.NewProc(tr, core.ReplicaStackWith(cfg.Consistency, core.StackOptions{
 		Machine:    cfg.Machine,
 		Retransmit: &rt,
-		Batch:      cfg.Batch,
 	}), opts)
 	n.wireMetrics()
 
@@ -300,8 +289,8 @@ func New(cfg Config) (*Node, error) {
 // their own atomics (transport, event loop, HTTP counters) register
 // read-at-scrape functions; counters living inside the event loop (the
 // protocol stack) are snapshotted by an OnScrape hook through ONE
-// Proc.Inspect, which also refreshes the machine-snapshot cache /status
-// serves. The ETOB flush hook for the op tracer is installed the same way.
+// Proc.Inspect, whose cost is the stack's counters, not the machine's state.
+// The ETOB flush hook for the op tracer is installed the same way.
 func (n *Node) wireMetrics() {
 	reg := n.reg
 	reg.CounterFunc(obs.MetricTransportDropped, n.tr.Dropped)
@@ -324,13 +313,7 @@ func (n *Node) wireMetrics() {
 	reg.CounterFunc(obs.MetricOmegaFlaps, n.proc.LeaderFlaps)
 	reg.GaugeFunc(obs.MetricOmegaLeader, func() int64 { return int64(n.proc.Leader()) })
 	reg.OnScrape(func() {
-		n.proc.Inspect(func(a model.Automaton) {
-			core.CollectStackMetrics(reg, a)
-			snap := core.UnwrapReplica(a).Snapshot()
-			n.snapMu.Lock()
-			n.snap = snap
-			n.snapMu.Unlock()
-		})
+		n.proc.Inspect(func(a model.Automaton) { core.CollectStackMetrics(reg, a) })
 	})
 	n.proc.Inspect(func(a model.Automaton) {
 		if e, ok := core.UnwrapReplica(a).Inner().(*etob.Automaton); ok {
@@ -339,16 +322,10 @@ func (n *Node) wireMetrics() {
 	})
 }
 
-// onFlush is the ETOB batching layer's observability tap: every op leaving
-// in an update(CG_i) broadcast gets its batch-flush and broadcast stamps
-// (one instant — in this protocol the flush IS the broadcast).
-func (n *Node) onFlush(ids []string) {
-	now := time.Now().UnixMicro()
-	self := fmt.Sprint(int(n.cfg.ID))
-	for _, id := range ids {
-		n.tracer.Record(id, obs.StageBatchFlush, self, now)
-		n.tracer.Record(id, obs.StageBroadcast, self, now)
-	}
+// onFlush is ETOB's observability tap: the op leaving in an update(CG_i)
+// broadcast gets its broadcast stamp.
+func (n *Node) onFlush(id string) {
+	n.tracer.Record(id, obs.StageBroadcast, fmt.Sprint(int(n.cfg.ID)), time.Now().UnixMicro())
 }
 
 // traceObserver stamps the op tracer from the event loop's output stream:
@@ -702,25 +679,17 @@ type Status struct {
 	// DedupSparse is the receiver-side dedup footprint (out-of-order seqnos
 	// held beyond the compact watermark).
 	DedupSparse int `json:"dedup_sparse"`
-	// Broadcast batching counters (zero when Config.Batch is off): update
-	// broadcasts emitted (split by trigger — depth-reached vs linger-expired),
-	// commands that rode them, the current batch-size target, and commands
-	// still queued for the next window. Undelivered is the broadcast layer's
-	// submitted-but-not-yet-delivered backlog (nonzero also without batching).
-	BatchFlushes       int64  `json:"batch_flushes,omitempty"`
-	BatchFullFlushes   int64  `json:"batch_full_flushes,omitempty"`
-	BatchLingerFlushes int64  `json:"batch_linger_flushes,omitempty"`
-	BatchOps           int64  `json:"batch_ops,omitempty"`
-	BatchTarget        int    `json:"batch_target,omitempty"`
-	BatchQueued        int    `json:"batch_queued,omitempty"`
-	Undelivered        int    `json:"undelivered"`
-	Snapshot           string `json:"snapshot"`
+	// Undelivered is the broadcast layer's submitted-but-not-yet-delivered
+	// backlog.
+	Undelivered int    `json:"undelivered"`
+	Snapshot    string `json:"snapshot"`
 }
 
 // handleStatus serves the introspection report off the metrics registry: one
 // Collect() runs the scrape hook (a single Proc.Inspect snapshotting the
-// protocol stack and the machine), then every field is a registry read. The
-// report and GET /metrics are therefore the same numbers by construction.
+// protocol stack), then every counter field is a registry read, so the
+// report and GET /metrics are the same numbers by construction. The machine
+// snapshot, which costs O(state), is taken here and only here.
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-n.proc.Done():
@@ -729,9 +698,11 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	default:
 	}
 	n.reg.Collect()
-	n.snapMu.Lock()
-	snap := n.snap
-	n.snapMu.Unlock()
+	var snap string
+	if !n.inspect(func(rep *smr.Replica) { snap = rep.Snapshot() }) {
+		http.Error(w, "replica stopped", http.StatusServiceUnavailable)
+		return
+	}
 	st := Status{
 		ID:          int(n.cfg.ID),
 		N:           n.proc.N(),
@@ -753,14 +724,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Coalesced:    n.reg.Value(obs.MetricTransportCoalesced),
 		Redials:      n.reg.Value(obs.MetricTransportRedials),
 		LeaderFlaps:  n.reg.Value(obs.MetricOmegaFlaps),
-
-		BatchFlushes:       n.reg.Value(obs.MetricBatchFlushes),
-		BatchFullFlushes:   n.reg.Value(obs.MetricBatchFullFlushes),
-		BatchLingerFlushes: n.reg.Value(obs.MetricBatchLingerFlushes),
-		BatchOps:           n.reg.Value(obs.MetricBatchOps),
-		BatchTarget:        int(n.reg.Value(obs.MetricBatchTarget)),
-		BatchQueued:        int(n.reg.Value(obs.MetricBatchQueued)),
-		Undelivered:        int(n.reg.Value(obs.MetricEtobUndelivered)),
+		Undelivered:  int(n.reg.Value(obs.MetricEtobUndelivered)),
 	}
 	if n.fault != nil {
 		st.Injected = n.reg.Value(obs.MetricTransportInjected)

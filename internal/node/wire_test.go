@@ -45,8 +45,8 @@ func TestStackWireTypesRegistered(t *testing.T) {
 	for _, c := range []core.Consistency{core.Eventual, core.Strong} {
 		t.Run(c.String(), func(t *testing.T) {
 			fp := model.NewFailurePattern(3)
-			factory := core.ReplicaStack(c, smr.KVFactory,
-				&retransmit.Options{Seed: 1, GiveUpTicks: node.DefaultGiveUpTicks})
+			factory := core.ReplicaStackWith(c, core.StackOptions{Machine: smr.KVFactory,
+				Retransmit: &retransmit.Options{Seed: 1, GiveUpTicks: node.DefaultGiveUpTicks}})
 			k := sim.New(fp, fd.NewOmegaStable(fp, 1), factory, sim.Options{Seed: 1})
 			obs := &payloadSampler{seen: make(map[string]any)}
 			k.SetObserver(obs)

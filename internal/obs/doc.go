@@ -6,14 +6,15 @@
 // The paper's guarantees are all eventual — ETOB-Stability and EC-Agreement
 // hold "for some τ" — so operating the system means WATCHING τ converge, not
 // just asserting it post-hoc in internal/trace: retransmit pendings draining
-// after a partition heals, Ω flap counts settling after churn, batch flushes
-// tracking load. This package is the mechanism; internal/core wires it to
-// the protocol stack, internal/node and internal/lb mount the endpoints.
+// after a partition heals, Ω flap counts settling after churn, undelivered
+// ops draining as dependencies arrive. This package is the mechanism;
+// internal/core wires it to the protocol stack, internal/node and
+// internal/lb mount the endpoints.
 //
 // # Naming conventions
 //
 // Prometheus conventions throughout: snake_case, a layer prefix
-// (retransmit_, batch_, smr_, etob_, kernel_, transport_, node_, omega_,
+// (retransmit_, etob_, smr_, kernel_, transport_, node_, omega_,
 // lb_, http_), the _total suffix on counters, bare names for gauges, base
 // names for histograms (exposed as summaries; the exposition appends
 // quantile samples plus _sum and _count). Canonical names are constants in
@@ -29,8 +30,6 @@
 //	retransmit  retransmit_{resends,duplicates,abandoned}_total,
 //	            retransmit_{pending_envelopes,dedup_sparse,
 //	            dedup_streams}                               yes   yes
-//	etob batch  batch_{flushes,full_flushes,linger_flushes,
-//	            ops}_total, batch_{target,queued}            yes   yes
 //	etob        etob_undelivered_ops                         yes   yes
 //	smr         smr_{applied,rebuilds}_total                 yes   yes
 //	kernel      kernel_steps_total, kernel_messages_*_total  yes   —

@@ -5,7 +5,7 @@ package obs
 // dashboard (or a test) can compare a sim run against a live cluster without
 // a translation table. The split is:
 //
-//   - Stack metrics (retransmit_*, batch_*, smr_*, etob_*) describe the
+//   - Stack metrics (retransmit_*, etob_*, smr_*) describe the
 //     protocol stack and exist in both worlds. StackNames lists them; the
 //     parity test in internal/core pins that sim- and live-collected
 //     registries expose the identical stack-name set.
@@ -27,14 +27,6 @@ const (
 	MetricRetransmitStreams    = "retransmit_dedup_streams"
 	MetricRetransmitSuperseded = "retransmit_superseded_total"
 	MetricRetransmitRTO        = "retransmit_rto_ticks" // largest learned per-link RTO
-
-	// Stack: ETOB broadcast batching (internal/etob).
-	MetricBatchFlushes       = "batch_flushes_total"
-	MetricBatchFullFlushes   = "batch_full_flushes_total"
-	MetricBatchLingerFlushes = "batch_linger_flushes_total"
-	MetricBatchOps           = "batch_ops_total"
-	MetricBatchTarget        = "batch_target"
-	MetricBatchQueued        = "batch_queued"
 
 	// Stack: ETOB delivery (internal/etob): ops whose dependencies have not
 	// yet all been delivered — the unresolved-dep stall depth.
@@ -89,12 +81,6 @@ func StackNames() []string {
 		MetricRetransmitStreams,
 		MetricRetransmitSuperseded,
 		MetricRetransmitRTO,
-		MetricBatchFlushes,
-		MetricBatchFullFlushes,
-		MetricBatchLingerFlushes,
-		MetricBatchOps,
-		MetricBatchTarget,
-		MetricBatchQueued,
 		MetricEtobUndelivered,
 		MetricSMRApplied,
 		MetricSMRRebuilds,

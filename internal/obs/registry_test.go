@@ -14,7 +14,7 @@ import (
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("node_accepted_total").Add(7)
-	r.Gauge("batch_target").Set(12)
+	r.Gauge("etob_undelivered_ops").Set(12)
 	r.CounterFunc("kernel_steps_total", func() int64 { return 99_000 })
 	r.GaugeFunc("retransmit_pending_envelopes", func() int64 { return 3 })
 	h := r.Histogram("http_request_duration_us")
@@ -24,8 +24,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	hooked := r.Counter("retransmit_resends_total")
 	r.OnScrape(func() { hooked.Set(41) })
 
-	const want = `# TYPE batch_target gauge
-batch_target 12
+	const want = `# TYPE etob_undelivered_ops gauge
+etob_undelivered_ops 12
 # TYPE http_request_duration_us summary
 http_request_duration_us{quantile="0.5"} 5
 http_request_duration_us{quantile="0.99"} 10
@@ -58,7 +58,7 @@ retransmit_resends_total 41
 		"node_accepted_total":                      7,
 		"kernel_steps_total":                       99000,
 		"retransmit_resends_total":                 41,
-		"batch_target":                             12,
+		"etob_undelivered_ops":                     12,
 		`http_request_duration_us{quantile="0.5"}`: 5,
 		"http_request_duration_us_count":           10,
 		"http_request_duration_us_sum":             55,

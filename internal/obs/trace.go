@@ -7,7 +7,7 @@ import (
 )
 
 // Stage is one point in an op's lifecycle. The canonical live pipeline is
-// submit → batch-flush → broadcast → deliver (per replica, possibly more
+// submit → broadcast → deliver (per replica, possibly more
 // than once: an ETOB re-application after a causal-order revision records a
 // fresh deliver). "Order-stable" is not a recorded stage — it is the
 // retrospective fact that no further deliver arrived — so the timeline
@@ -16,10 +16,9 @@ type Stage string
 
 // The lifecycle stages stamped by the serving path.
 const (
-	StageSubmit     Stage = "submit"
-	StageBatchFlush Stage = "batch-flush"
-	StageBroadcast  Stage = "broadcast"
-	StageDeliver    Stage = "deliver"
+	StageSubmit    Stage = "submit"
+	StageBroadcast Stage = "broadcast"
+	StageDeliver   Stage = "deliver"
 )
 
 // TraceEvent is one stamped lifecycle point.
@@ -29,8 +28,8 @@ type TraceEvent struct {
 	At    int64  `json:"at"`
 }
 
-// maxEventsPerOp bounds a single op's timeline: a submit, a flush, a
-// broadcast, and a deliver per replica fit comfortably; a pathological
+// maxEventsPerOp bounds a single op's timeline: a submit, a broadcast, and
+// a deliver per replica fit comfortably; a pathological
 // re-application storm is truncated rather than growing without bound.
 const maxEventsPerOp = 256
 

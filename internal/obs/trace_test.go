@@ -11,15 +11,14 @@ import (
 func TestOpTracerTimelineAndStableSynthesis(t *testing.T) {
 	tr := NewOpTracer(16)
 	tr.Record("p1.1", StageSubmit, "n1", 100)
-	tr.Record("p1.1", StageBatchFlush, "n1", 110)
 	tr.Record("p1.1", StageBroadcast, "n1", 111)
 	tr.Record("p1.1", StageDeliver, "n1", 130)
 	tr.Record("p1.1", StageDeliver, "n2", 145)
 	tr.Record("p1.1", StageDeliver, "n1", 160) // re-application after reorder
 
 	evs := tr.Timeline("p1.1")
-	if len(evs) != 6 {
-		t.Fatalf("timeline has %d events, want 6", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("timeline has %d events, want 5", len(evs))
 	}
 	if evs[0].Stage != StageSubmit || evs[0].At != 100 {
 		t.Errorf("first event = %+v, want submit@100", evs[0])

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/etob"
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/retransmit"
@@ -15,16 +14,14 @@ import (
 	"repro/internal/smr"
 )
 
-// TestBatchedExactlyOnceUnderBurstyLoss pins the interaction the batching
-// layer must not break: a batch rides ONE retransmission envelope, so a
-// bursty-lossy wire that eats the envelope eats k ops — and the resend must
-// bring back all k, exactly once each, never a partial batch and never a
-// duplicated one. The full Eventual stack (retransmit → batched ETOB →
-// AppendLog machine) runs over ~30% bursty loss while a receiver restarts
-// mid-stream (its state wiped, rebuilt from peer traffic). Afterward every
-// process's applied log must hold every submitted op exactly once — checked
+// TestStackExactlyOnceUnderBurstyLossAndRestart is the stack-level check of
+// exactly-once apply: the full Eventual stack (retransmit → ETOB → AppendLog
+// machine) runs over ~30% bursty loss while a receiver restarts mid-stream
+// (its state wiped, rebuilt from peer traffic). Resent and duplicated
+// updates must neither lose an op nor apply one twice: afterward every
+// process's applied log holds every submitted op exactly once — checked
 // across 10 seeds so the property does not hinge on one loss pattern.
-func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
+func TestStackExactlyOnceUnderBurstyLossAndRestart(t *testing.T) {
 	const n, ops = 4, 18
 	for seed := int64(1); seed <= 10; seed++ {
 		fp := model.NewFailurePattern(n)
@@ -32,7 +29,6 @@ func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
 		factory := core.ReplicaStackWith(core.Eventual, core.StackOptions{
 			Machine:    smr.LogFactory,
 			Retransmit: &retransmit.Options{Seed: seed},
-			Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
 		})
 		// Receiver p3 loses a window mid-stream: automaton rebuilt from the
 		// factory at t=1800, all retransmit/ETOB/machine state gone.
@@ -43,11 +39,11 @@ func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
 			Network: func() sim.NetworkModel { return &adversary.Lossy{Drop: 0.3, Burst: 3} },
 			Faults:  faults,
 		})
-		// Submit only through processes that never go down — ops queued but
-		// unflushed on a crashing process are lost by the durability
-		// contract, which is not what this test is about. Bursts of three
-		// back-to-back fill batches; stragglers flush by linger. The stream
-		// spans the down window and continues after the restart.
+		// Submit only through processes that never go down — an op whose
+		// sender crashes before any copy of its update arrives is lost by
+		// the durability contract, which is not what this test is about.
+		// Ops come in bursts of three back to back. The stream spans the
+		// down window and continues after the restart.
 		submitters := []model.ProcID{1, 2, 4}
 		for i := 0; i < ops; i++ {
 			p := submitters[(i/3)%len(submitters)]
@@ -59,17 +55,12 @@ func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
 		if k.MessagesLost() == 0 {
 			t.Fatalf("seed %d: no losses — the network exercised nothing", seed)
 		}
-		var resends, flushes, batched int64
+		var resends int64
 		ref := ""
 		for _, p := range model.Procs(n) {
 			wrap := k.Automaton(p).(*retransmit.Automaton)
 			resends += wrap.Resends()
 			rep := core.UnwrapReplica(wrap)
-			if b, ok := rep.Inner().(interface{ BatchStats() etob.BatchStats }); ok {
-				st := b.BatchStats()
-				flushes += st.Flushes
-				batched += st.Ops
-			}
 			snap := rep.Snapshot()
 			if p == 1 {
 				ref = snap
@@ -92,16 +83,6 @@ func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
 		}
 		if resends == 0 {
 			t.Errorf("seed %d: losses occurred but nothing was resent", seed)
-		}
-		// The restarted p3's batch layer is fresh, so compare cluster-wide:
-		// the submitters' layers alone make flushes < ops when coalescing
-		// works. (batched counts ops that went THROUGH queues; p3's pre-crash
-		// counters are lost with its automaton, so ops is a lower bound.)
-		if batched < ops {
-			t.Errorf("seed %d: batch layers saw %d ops, want >= %d", seed, batched, ops)
-		}
-		if flushes == 0 || flushes >= batched {
-			t.Errorf("seed %d: %d flushes for %d batched ops — never coalesced", seed, flushes, batched)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func init() {
 func TestTCPTraceConformance(t *testing.T) {
 	const n, updates = 3, 12
 	log := &trace.StepLog{}
-	factory := core.ReplicaStack(core.Eventual, nil, &retransmit.Options{Seed: 7})
+	factory := core.ReplicaStackWith(core.Eventual, core.StackOptions{Retransmit: &retransmit.Options{Seed: 7}})
 
 	// Reserve loopback ports so every endpoint knows the full peer map.
 	peers := make(map[model.ProcID]string, n)

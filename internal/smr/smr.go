@@ -174,7 +174,7 @@ func (r *Replica) onDelivered(ctx model.Context, seq []string) {
 func (r *Replica) Snapshot() string { return r.machine.Snapshot() }
 
 // Inner returns the broadcast automaton the replica drives (introspection:
-// e.g. the ETOB batching layer's counters live there).
+// e.g. ETOB's undelivered backlog lives there).
 func (r *Replica) Inner() model.Automaton { return r.inner }
 
 // AppliedCount returns the number of commands currently applied.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # metrics_overhead.sh — the observability plane's overhead gate. Runs the
 # registry-off and registry-on kernel benchmarks (internal/core
-# BenchmarkKernelMetricsOff/On: the same lossy batched 3-replica service run,
+# BenchmarkKernelMetricsOff/On: the same retransmit-wrapped 3-replica service run,
 # the On variant carrying a wired obs.Registry plus one end-of-run scrape)
 # and fails if the monitored kernel's ns/op floor is more than
 # MAX_REGRESS_PCT above the unmonitored one.
