@@ -111,6 +111,10 @@ func (v *voteSet) add(p model.ProcID) bool {
 // Broadcast inputs (model.BroadcastInput) are submitted to the leader, chosen
 // via Paxos instances, and delivered in instance order; the evolving d_i is
 // emitted as model.SeqSnapshot outputs.
+//
+// d only appends, so each emitted Seq is a clipped view of it (d[:n:n]), not
+// a copy, and its Keep is the previous length. The view is read-only: later
+// appends write past its end, and the Log never rewrites a delivered slot.
 type Log struct {
 	self model.ProcID
 	n    int
@@ -349,7 +353,7 @@ func (l *Log) onAccepted(ctx model.Context, from model.ProcID, m AcceptedMsg) {
 // deliverPrefix extends d with consecutively chosen instances. A value chosen
 // in two instances (possible across leader changes) is delivered once.
 func (l *Log) deliverPrefix(ctx model.Context) {
-	changed := false
+	keep := len(l.d)
 	for {
 		v, ok := l.chosen[l.delivered+1]
 		if !ok {
@@ -359,11 +363,10 @@ func (l *Log) deliverPrefix(ctx model.Context) {
 		if !l.inD[v] {
 			l.inD[v] = true
 			l.d = append(l.d, v)
-			changed = true
 		}
 	}
-	if changed {
-		ctx.Output(model.SeqSnapshot{Seq: append([]string(nil), l.d...)})
+	if n := len(l.d); n > keep {
+		ctx.Output(model.SeqSnapshot{Seq: l.d[:n:n], Keep: keep})
 	}
 }
 

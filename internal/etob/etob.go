@@ -183,9 +183,12 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 			return // stale promote (links are not FIFO)
 		}
 		a.lastCtr[from] = m.Counter
-		if !equalSeq(a.d, m.Seq) {
+		// Adopted promotes are views of the leader's append-only
+		// promote_i, so in-process this compare is O(1).
+		keep := model.CommonPrefix(a.d, m.Seq)
+		if keep < len(a.d) || keep < len(m.Seq) {
 			a.d = m.Seq
-			ctx.Output(model.SeqSnapshot{Seq: a.d})
+			ctx.Output(model.SeqSnapshot{Seq: a.d, Keep: keep})
 		}
 	}
 }
@@ -286,18 +289,3 @@ func (a *Automaton) Promote() []string { return append([]string(nil), a.promote.
 
 // KnownMessages returns the number of messages in CG_i.
 func (a *Automaton) KnownMessages() int { return a.cg.Len() }
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true // same memory: adopted views of one promote_i
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

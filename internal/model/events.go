@@ -26,8 +26,37 @@ type ProposeInput struct {
 
 // SeqSnapshot is emitted by broadcast protocols whenever the output variable
 // d_i changes: Seq is the new value of d_i (message IDs in delivery order).
+//
+// Seq is read-only: the producer never mutates it after emitting it (it may
+// be a view shared with the producer's own state or with other processes),
+// and no consumer may mutate it either, so consumers keep it without a copy.
+//
+// Keep is the exact length of the longest common prefix of Seq and the
+// producer's previous emitted Seq (0 for the first). ETOB-Stability and
+// Total-order are statements about this prefix relation (§3): Seq[:Keep] is
+// what d_i kept and Seq[Keep:] is what it gained, so a consumer that mirrors
+// d_i pays for the change, not for the history. Keep < len(previous Seq)
+// means d_i dropped or reordered messages, which ETOB allows only before τ.
 type SeqSnapshot struct {
-	Seq []string
+	Seq  []string
+	Keep int
+}
+
+// CommonPrefix returns the length of the longest common prefix of a and b:
+// the Keep of a SeqSnapshot whose Seq b replaces a. Slices that start at the
+// same element share their first min(len(a), len(b)) elements, so views of
+// one array compare in O(1).
+func CommonPrefix(a, b []string) int {
+	n := min(len(a), len(b))
+	if n == 0 || &a[0] == &b[0] {
+		return n
+	}
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 // Decision is emitted when a consensus-style protocol returns a response to

@@ -11,13 +11,18 @@
 // may diverge for a finite period". Over a strong TOB (internal/consensus)
 // the same code yields a strongly consistent service.
 //
+// The replica never re-checks the prefix relation itself: every producer
+// reports in model.SeqSnapshot.Keep how much of its previous d_i the new one
+// kept, so a delivery costs O(new commands) and a rebuild happens exactly
+// when Keep < the applied count.
+//
 // Commands piggyback on broadcast message IDs ("<uniq>|<command>"), since
 // the broadcast abstractions order opaque message identifiers.
 package smr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -52,7 +57,8 @@ type Command struct {
 // the machine state ask the Replica.) Rebuilt reports whether the replica
 // replayed from scratch because its delivered prefix changed (only possible
 // before the ETOB stabilization time); the New of a rebuilt change is the
-// entire re-applied sequence.
+// entire re-applied sequence. New is a view of the delivered
+// model.SeqSnapshot.Seq and, like it, read-only.
 type Applied struct {
 	New     []string
 	Total   int
@@ -74,14 +80,19 @@ func DecodeCommand(id string) (string, bool) {
 
 // Replica runs a state machine over any broadcast automaton that consumes
 // model.BroadcastInput and emits model.SeqSnapshot (etob.Automaton,
-// consensus.Log, transform.ECToETOB, ...).
+// consensus.Log, transform.ECToETOB, ...). The applied commands are always
+// the inner protocol's last emitted Seq, so a snapshot's Keep says whether
+// they are still its prefix: when Keep >= the applied count the replica
+// applies Seq[applied:], and only when Keep < the applied count (a reorder,
+// which ETOB allows only before τ) does it rebuild the machine and replay
+// all of Seq.
 type Replica struct {
 	self    model.ProcID
 	inner   model.Automaton
 	factory MachineFactory
 
 	machine StateMachine
-	applied []string // command IDs applied, in order
+	applied int // length of the applied prefix of the inner protocol's d_i
 	seq     int64
 	rebuilt int
 }
@@ -111,7 +122,7 @@ func (c replicaCtx) Output(v any) {
 		// Pass the raw d_i evolution through (recorders and the (E)TOB
 		// property checkers need it), then reconcile the machine.
 		c.Context.Output(v)
-		c.r.onDelivered(c.Context, snap.Seq)
+		c.r.onDelivered(c.Context, snap)
 		return
 	}
 	c.Context.Output(v)
@@ -144,27 +155,26 @@ func (r *Replica) Input(ctx model.Context, in any) {
 }
 
 // onDelivered reconciles the machine with the newly delivered sequence:
-// apply the suffix if the old sequence is a prefix of the new one, otherwise
+// apply the suffix if the snapshot kept the whole applied prefix, otherwise
 // rebuild deterministically from scratch.
-func (r *Replica) onDelivered(ctx model.Context, seq []string) {
-	rebuilt := false
-	if !isPrefix(r.applied, seq) {
+func (r *Replica) onDelivered(ctx model.Context, snap model.SeqSnapshot) {
+	rebuilt := snap.Keep < r.applied
+	if rebuilt {
 		r.machine = r.factory()
-		r.applied = r.applied[:0]
+		r.applied = 0
 		r.rebuilt++
-		rebuilt = true
 	}
-	from := len(r.applied)
-	for _, id := range seq[from:] {
+	from := r.applied
+	for _, id := range snap.Seq[from:] {
 		if cmd, ok := DecodeCommand(id); ok {
 			r.machine.Apply(cmd)
 		}
-		r.applied = append(r.applied, id)
 	}
-	if rebuilt || len(r.applied) > from {
+	r.applied = len(snap.Seq)
+	if rebuilt || r.applied > from {
 		ctx.Output(Applied{
-			New:     append([]string(nil), r.applied[from:]...),
-			Total:   len(r.applied),
+			New:     snap.Seq[from:r.applied:r.applied],
+			Total:   r.applied,
 			Rebuilt: rebuilt,
 		})
 	}
@@ -178,38 +188,75 @@ func (r *Replica) Snapshot() string { return r.machine.Snapshot() }
 func (r *Replica) Inner() model.Automaton { return r.inner }
 
 // AppliedCount returns the number of commands currently applied.
-func (r *Replica) AppliedCount() int { return len(r.applied) }
+func (r *Replica) AppliedCount() int { return r.applied }
 
 // Rebuilds returns how many times the replica replayed from scratch.
 func (r *Replica) Rebuilds() int { return r.rebuilt }
-
-func isPrefix(pre, full []string) bool {
-	if len(pre) > len(full) {
-		return false
-	}
-	for i := range pre {
-		if pre[i] != full[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // ---------------------------------------------------------------------------
 // State machines
 // ---------------------------------------------------------------------------
 
+// index holds a keyed machine's entries twice: in a map, for O(1) lookup,
+// and in key order, so that Snapshot walks them once without sorting. A
+// command on an existing key costs a map lookup; adding or removing a key
+// also costs a binary search and an O(K) memmove for K keys.
+type index[V any] struct {
+	m      map[string]*entry[V]
+	sorted []*entry[V]
+}
+
+type entry[V any] struct {
+	k string
+	v V
+}
+
+// at returns the entry of key k, adding a zero-valued one if k is absent.
+func (x *index[V]) at(k string) (e *entry[V], added bool) {
+	if e := x.m[k]; e != nil {
+		return e, false
+	}
+	if x.m == nil {
+		x.m = make(map[string]*entry[V])
+	}
+	e = &entry[V]{k: k}
+	x.m[k] = e
+	x.sorted = slices.Insert(x.sorted, x.find(k), e)
+	return e, true
+}
+
+// remove deletes key k and returns its entry, or nil if k is absent.
+func (x *index[V]) remove(k string) *entry[V] {
+	e := x.m[k]
+	if e != nil {
+		delete(x.m, k)
+		i := x.find(k)
+		x.sorted = slices.Delete(x.sorted, i, i+1)
+	}
+	return e
+}
+
+// find returns the position of key k in sorted order.
+func (x *index[V]) find(k string) int {
+	i, _ := slices.BinarySearchFunc(x.sorted, k, func(e *entry[V], k string) int { return strings.Compare(e.k, k) })
+	return i
+}
+
 // KVStore is a key-value store machine. Commands:
 //
 //	set <k> <v> | del <k> | append <k> <v>
+//
+// Its entries are kept in key order (see index) with their encoded size
+// running, so Snapshot is one O(state bytes) pass into one allocation.
 type KVStore struct {
-	m map[string]string
+	kv   index[string]
+	size int // len(k)+len(v)+2 per entry: len(Snapshot()) plus one
 }
 
 var _ StateMachine = (*KVStore)(nil)
 
 // NewKVStore returns an empty KV store.
-func NewKVStore() *KVStore { return &KVStore{m: make(map[string]string)} }
+func NewKVStore() *KVStore { return &KVStore{} }
 
 // KVFactory is a MachineFactory for KVStore.
 func KVFactory() StateMachine { return NewKVStore() }
@@ -225,54 +272,75 @@ func (s *KVStore) Apply(cmd string) string {
 		if len(f) < 3 {
 			return "err set"
 		}
-		s.m[f[1]] = strings.Join(f[2:], " ")
+		s.put(f[1], strings.Join(f[2:], " "), false)
 		return "ok"
 	case "del":
 		if len(f) < 2 {
 			return "err del"
 		}
-		delete(s.m, f[1])
+		if e := s.kv.remove(f[1]); e != nil {
+			s.size -= len(e.k) + len(e.v) + 2
+		}
 		return "ok"
 	case "append":
 		if len(f) < 3 {
 			return "err append"
 		}
-		s.m[f[1]] += strings.Join(f[2:], " ")
+		s.put(f[1], strings.Join(f[2:], " "), true)
 		return "ok"
 	default:
 		return "err unknown"
 	}
 }
 
-// Get returns the value of a key.
-func (s *KVStore) Get(k string) (string, bool) {
-	v, ok := s.m[k]
-	return v, ok
+// put sets key k to v, or appends v to its value when add is set.
+func (s *KVStore) put(k, v string, add bool) {
+	e, added := s.kv.at(k)
+	if added {
+		s.size += len(k) + 2
+	}
+	if add {
+		v = e.v + v
+	}
+	s.size += len(v) - len(e.v)
+	e.v = v
 }
 
-// Snapshot implements StateMachine: sorted "k=v" pairs.
+// Get returns the value of a key.
+func (s *KVStore) Get(k string) (string, bool) {
+	if e := s.kv.m[k]; e != nil {
+		return e.v, true
+	}
+	return "", false
+}
+
+// Snapshot implements StateMachine: "k=v" pairs in key order, joined by ",".
 func (s *KVStore) Snapshot() string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	var b strings.Builder
+	b.Grow(s.size)
+	for i, e := range s.kv.sorted {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(e.k)
+		b.WriteByte('=')
+		b.WriteString(e.v)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+s.m[k])
-	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // Counter is a named-counter machine. Commands: inc <name> [n] | dec <name> [n].
+// Its state is kept like KVStore's: Snapshot is one pass into one
+// allocation, and a command that adds a name costs an O(K) memmove.
 type Counter struct {
-	m map[string]int64
+	c    index[int64]
+	size int // len(k)+digits(v)+2 per entry: len(Snapshot()) plus one
 }
 
 var _ StateMachine = (*Counter)(nil)
 
 // NewCounter returns an empty counter machine.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
+func NewCounter() *Counter { return &Counter{} }
 
 // CounterFactory is a MachineFactory for Counter.
 func CounterFactory() StateMachine { return NewCounter() }
@@ -291,30 +359,56 @@ func (c *Counter) Apply(cmd string) string {
 	}
 	switch f[0] {
 	case "inc":
-		c.m[f[1]] += n
 	case "dec":
-		c.m[f[1]] -= n
+		n = -n
 	default:
 		return "err unknown"
 	}
-	return strconv.FormatInt(c.m[f[1]], 10)
+	e, added := c.c.at(f[1])
+	if added {
+		c.size += len(e.k) + decLen(0) + 2
+	}
+	c.size -= decLen(e.v)
+	e.v += n
+	c.size += decLen(e.v)
+	return strconv.FormatInt(e.v, 10)
 }
 
 // Value returns the current value of a counter.
-func (c *Counter) Value(name string) int64 { return c.m[name] }
+func (c *Counter) Value(name string) int64 {
+	if e := c.c.m[name]; e != nil {
+		return e.v
+	}
+	return 0
+}
 
-// Snapshot implements StateMachine.
+// Snapshot implements StateMachine: "name=value" pairs in name order, joined
+// by ",".
 func (c *Counter) Snapshot() string {
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
+	var b strings.Builder
+	b.Grow(c.size)
+	var digits [20]byte
+	for i, e := range c.c.sorted {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(e.k)
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(digits[:0], e.v, 10))
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, c.m[k]))
+	return b.String()
+}
+
+// decLen is len(strconv.FormatInt(v, 10)).
+func decLen(v int64) int {
+	n := 1
+	if v < 0 {
+		n++
 	}
-	return strings.Join(parts, ",")
+	for ; v <= -10 || v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // AppendLog is an append-only log machine. Command: any string, appended.

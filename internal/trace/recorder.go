@@ -17,7 +17,8 @@ import (
 )
 
 // SeqPoint is one observation of an output variable d_i: at time T the
-// sequence became Seq.
+// sequence became Seq. Seq is the emitted model.SeqSnapshot.Seq, shared and
+// read-only.
 type SeqPoint struct {
 	T   model.Time
 	Seq []string
@@ -117,7 +118,9 @@ func (r *Recorder) OnOutput(p model.ProcID, t model.Time, v any) {
 	defer r.mu.Unlock()
 	switch out := v.(type) {
 	case model.SeqSnapshot:
-		r.seqs[p] = append(r.seqs[p], SeqPoint{T: t, Seq: append([]string(nil), out.Seq...)})
+		// Seq is read-only once emitted (model.SeqSnapshot), so the point
+		// shares it: a copy per snapshot would make the recorder O(H²).
+		r.seqs[p] = append(r.seqs[p], SeqPoint{T: t, Seq: out.Seq})
 	case model.Decision:
 		r.decisions[p] = append(r.decisions[p], DecisionPoint{T: t, Instance: out.Instance, Value: out.Value})
 	case model.ProposeInput:

@@ -108,9 +108,9 @@ func (a *ECToETOB) onInnerOutput(outer model.Context, v any) {
 		return // not a response to our pending invocation
 	}
 	d := decodeSeq(dec.Value)
-	if !equalSeq(a.d, d) {
+	if keep := model.CommonPrefix(a.d, d); keep < len(a.d) || keep < len(d) {
 		a.d = d
-		outer.Output(model.SeqSnapshot{Seq: a.d})
+		outer.Output(model.SeqSnapshot{Seq: a.d, Keep: keep})
 	}
 	a.count++
 	next := append(append([]string(nil), a.d...), a.newBatch()...)
@@ -135,15 +135,3 @@ func (a *ECToETOB) newBatch() []string {
 
 // Delivered returns a copy of the current d_i (for inspection).
 func (a *ECToETOB) Delivered() []string { return append([]string(nil), a.d...) }
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -29,8 +29,8 @@ type ETOBToEC struct {
 	// pair-decoding) the whole sequence per tick dominated the transformation
 	// stacks. firstKnown memoizes First per instance for the CURRENT d_i,
 	// filled by a single forward scan (scanned = resume point) that restarts
-	// when d_i is replaced; pairMemo caches decodePair per message ID, which
-	// is stable across snapshots.
+	// only when d_i changes within the scanned prefix; pairMemo caches
+	// decodePair per message ID, which is stable across snapshots.
 	firstKnown map[int]string
 	scanned    int
 	pairMemo   map[string]pairVal
@@ -148,14 +148,18 @@ func (a *ETOBToEC) maybeDecide(ctx model.Context) {
 	}
 }
 
-// onInnerOutput mirrors the inner protocol's d_i and invalidates the First
-// cache: the new sequence may reorder messages (that is the "eventual" in
-// ETOB), so the scan restarts from the front.
+// onInnerOutput mirrors the inner protocol's d_i: it copies only what d_i
+// gained past the kept prefix (SeqSnapshot.Keep). The First cache survives
+// when the scan has not passed the kept prefix; a shorter kept prefix means
+// d_i reordered or dropped scanned messages (that is the "eventual" in ETOB),
+// so the scan restarts from the front.
 func (a *ETOBToEC) onInnerOutput(_ model.Context, v any) {
 	if s, ok := v.(model.SeqSnapshot); ok {
-		a.d = append(a.d[:0:0], s.Seq...)
-		a.scanned = 0
-		clear(a.firstKnown)
+		a.d = append(a.d[:s.Keep], s.Seq[s.Keep:]...)
+		if s.Keep < a.scanned {
+			a.scanned = 0
+			clear(a.firstKnown)
+		}
 	}
 }
 
