@@ -113,8 +113,8 @@ func (v *voteSet) add(p model.ProcID) bool {
 // emitted as model.SeqSnapshot outputs.
 //
 // d only appends, so each emitted Seq is a clipped view of it (d[:n:n]), not
-// a copy, and its Keep is the previous length. The view is read-only: later
-// appends write past its end, and the Log never rewrites a delivered slot.
+// a copy. The view is read-only: later appends write past its end, and the
+// Log never rewrites a delivered slot.
 type Log struct {
 	self model.ProcID
 	n    int
@@ -353,7 +353,7 @@ func (l *Log) onAccepted(ctx model.Context, from model.ProcID, m AcceptedMsg) {
 // deliverPrefix extends d with consecutively chosen instances. A value chosen
 // in two instances (possible across leader changes) is delivered once.
 func (l *Log) deliverPrefix(ctx model.Context) {
-	keep := len(l.d)
+	before := len(l.d)
 	for {
 		v, ok := l.chosen[l.delivered+1]
 		if !ok {
@@ -365,8 +365,8 @@ func (l *Log) deliverPrefix(ctx model.Context) {
 			l.d = append(l.d, v)
 		}
 	}
-	if n := len(l.d); n > keep {
-		ctx.Output(model.SeqSnapshot{Seq: l.d[:n:n], Keep: keep})
+	if n := len(l.d); n > before {
+		ctx.Output(model.SeqSnapshot{Seq: l.d[:n:n]})
 	}
 }
 

@@ -185,10 +185,9 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 		a.lastCtr[from] = m.Counter
 		// Adopted promotes are views of the leader's append-only
 		// promote_i, so in-process this compare is O(1).
-		keep := model.CommonPrefix(a.d, m.Seq)
-		if keep < len(a.d) || keep < len(m.Seq) {
+		if keep := model.CommonPrefix(a.d, m.Seq); keep < len(a.d) || keep < len(m.Seq) {
 			a.d = m.Seq
-			ctx.Output(model.SeqSnapshot{Seq: a.d, Keep: keep})
+			ctx.Output(model.SeqSnapshot{Seq: a.d})
 		}
 	}
 }

@@ -30,22 +30,16 @@ type ProposeInput struct {
 // Seq is read-only: the producer never mutates it after emitting it (it may
 // be a view shared with the producer's own state or with other processes),
 // and no consumer may mutate it either, so consumers keep it without a copy.
-//
-// Keep is the exact length of the longest common prefix of Seq and the
-// producer's previous emitted Seq (0 for the first). ETOB-Stability and
-// Total-order are statements about this prefix relation (§3): Seq[:Keep] is
-// what d_i kept and Seq[Keep:] is what it gained, so a consumer that mirrors
-// d_i pays for the change, not for the history. Keep < len(previous Seq)
-// means d_i dropped or reordered messages, which ETOB allows only before τ.
 type SeqSnapshot struct {
-	Seq  []string
-	Keep int
+	Seq []string
 }
 
-// CommonPrefix returns the length of the longest common prefix of a and b:
-// the Keep of a SeqSnapshot whose Seq b replaces a. Slices that start at the
-// same element share their first min(len(a), len(b)) elements, so views of
-// one array compare in O(1).
+// CommonPrefix returns the length of the longest common prefix of a and b.
+// ETOB-Stability and Total-order are statements about this prefix relation
+// on successive values of d_i (§3), so a consumer that keeps the previous
+// Seq learns with it what the new one kept and what it gained. Slices that
+// start at the same element share their first min(len(a), len(b)) elements,
+// so views of one append-only array compare in O(1).
 func CommonPrefix(a, b []string) int {
 	n := min(len(a), len(b))
 	if n == 0 || &a[0] == &b[0] {

@@ -17,26 +17,16 @@ import (
 	"repro/internal/transform"
 )
 
-// isPrefix is the reference for SeqSnapshot.Keep >= len(applied).
+// isPrefix is the reference for model.CommonPrefix(applied, seq) ==
+// len(applied).
 func isPrefix(pre, full []string) bool {
 	return len(pre) <= len(full) && slices.Equal(pre, full[:len(pre)])
 }
 
-// lcp is the reference for SeqSnapshot.Keep: the length of the longest
-// common prefix of a and b.
-func lcp(a, b []string) int {
-	n := min(len(a), len(b))
-	for i := range n {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// refReplica is the reconcile rule the Replica had before SeqSnapshot.Keep:
-// apply the suffix when the applied sequence is a prefix of the new one
-// (an O(H) check per delivery), otherwise rebuild from scratch.
+// refReplica is the reconcile rule the Replica had when it kept its own copy
+// of the applied sequence: apply the suffix when that copy is a prefix of
+// the new sequence (an O(H) check per delivery), otherwise rebuild from
+// scratch.
 type refReplica struct {
 	machine StateMachine
 	applied []string
@@ -63,11 +53,8 @@ func (r *refReplica) deliver(seq []string) (Applied, bool) {
 	return Applied{New: slices.Clone(r.applied[from:]), Total: len(r.applied), Rebuilt: rebuilt}, true
 }
 
-// emit makes a seqSource emit seq with the given Keep.
-type emit struct {
-	seq  []string
-	keep int
-}
+// emit makes a seqSource emit the Seq.
+type emit []string
 
 // seqSource is a broadcast automaton whose d_i the test sets directly.
 type seqSource struct{}
@@ -77,7 +64,7 @@ func (seqSource) Tick(model.Context)                    {}
 func (seqSource) Recv(model.Context, model.ProcID, any) {}
 func (seqSource) Input(ctx model.Context, in any) {
 	if e, ok := in.(emit); ok {
-		ctx.Output(model.SeqSnapshot{Seq: e.seq, Keep: e.keep})
+		ctx.Output(model.SeqSnapshot{Seq: e})
 	}
 }
 
@@ -96,13 +83,31 @@ func (c lastCtx) Output(v any) {
 	}
 }
 
-// nextSeq derives a producer's next d_i from cur: appends, a swap near the
-// tail, a truncation, or an identical re-emit. It never mutates cur: an
-// emitted Seq is read-only.
-func nextSeq(rng *rand.Rand, cur []string, fresh func() string) []string {
+// seqStream is a producer's d_i: each step derives the next value from cur
+// by appends, a swap near the tail, a truncation, or an identical re-emit.
+// Half the appends go onto arr, an append-only array whose full-length views
+// are emitted (as etob's promote_i and consensus.Log's d are), so the new
+// Seq shares cur's elements; everything else builds a fresh array. No
+// emitted Seq is ever mutated.
+type seqStream struct {
+	cur, arr []string
+}
+
+func (s *seqStream) next(rng *rand.Rand, fresh func() string) []string {
+	cur := s.cur
 	next := slices.Clone(cur)
 	switch r := rng.Intn(10); {
 	case r < 5:
+		if rng.Intn(2) == 0 {
+			if len(s.arr) != len(cur) || len(cur) > 0 && &s.arr[0] != &cur[0] {
+				s.arr = append(make([]string, 0, 2*len(cur)+4), cur...)
+			}
+			for range 1 + rng.Intn(3) {
+				s.arr = append(s.arr, fresh())
+			}
+			next = s.arr[:len(s.arr):len(s.arr)]
+			break
+		}
 		for range 1 + rng.Intn(3) {
 			next = append(next, fresh())
 		}
@@ -117,15 +122,17 @@ func nextSeq(rng *rand.Rand, cur []string, fresh func() string) []string {
 	case r < 9:
 		// identical content in a fresh array
 	default:
-		return cur // the same view again
+		next = cur // the same view again
 	}
+	s.cur = next
 	return next
 }
 
-// TestKeepReconcileMatchesPrefixReference holds the Keep-driven Replica to
-// the isPrefix+rebuild reference over seeded random d_i streams: after every
-// snapshot, the Applied output, Rebuilds() and Snapshot() must agree.
-func TestKeepReconcileMatchesPrefixReference(t *testing.T) {
+// TestReconcileMatchesPrefixReference holds the Replica, which keeps only a
+// view of the last delivered Seq, to the isPrefix+rebuild reference over
+// seeded random d_i streams: after every snapshot, the Applied output,
+// Rebuilds() and Snapshot() must agree.
+func TestReconcileMatchesPrefixReference(t *testing.T) {
 	cmds := []string{"set k%d v%d", "del k%d", "append k%d x%d"}
 	reorders := 0
 	for seed := int64(1); seed <= 20; seed++ {
@@ -143,15 +150,15 @@ func TestKeepReconcileMatchesPrefixReference(t *testing.T) {
 		ctx := lastCtx{&last}
 		rep := NewReplica(1, seqSource{}, KVFactory)
 		ref := &refReplica{machine: KVFactory()}
-		var cur []string
+		var s seqStream
 		for step := 0; step < 300; step++ {
-			next := nextSeq(rng, cur, fresh)
-			keep := lcp(cur, next)
-			if keep < len(cur) {
+			cur := s.cur
+			next := s.next(rng, fresh)
+			if !isPrefix(cur, next) {
 				reorders++
 			}
 			last = Applied{Total: -1} // stays so if the replica outputs nothing
-			rep.Input(ctx, emit{next, keep})
+			rep.Input(ctx, emit(next))
 			want, changed := ref.deliver(next)
 			if !changed {
 				want = Applied{Total: -1}
@@ -166,7 +173,6 @@ func TestKeepReconcileMatchesPrefixReference(t *testing.T) {
 			if got, want := rep.Snapshot(), ref.machine.Snapshot(); got != want {
 				t.Fatalf("seed %d step %d: snapshot %q, reference %q", seed, step, got, want)
 			}
-			cur = next
 		}
 	}
 	if reorders == 0 {
@@ -174,82 +180,65 @@ func TestKeepReconcileMatchesPrefixReference(t *testing.T) {
 	}
 }
 
-// keepCheck wraps a broadcast automaton and checks every SeqSnapshot it
-// emits against the producer contract: Keep is exactly the longest common
-// prefix with the previous emitted Seq (0 for the first), and the previous
-// Seq was not mutated after it was emitted. A restart builds a new
-// keepCheck, so each incarnation is checked against its own history.
-type keepCheck struct {
+// seqCheck wraps a broadcast automaton and checks, at every SeqSnapshot it
+// emits, that the previous emitted Seq was not mutated since: consumers keep
+// Seq without a copy (model.SeqSnapshot).
+type seqCheck struct {
 	model.Automaton
-	st       *keepStats
+	t        *testing.T
+	snaps    *int
 	prev     []string // the previous emitted Seq, as emitted
 	prevCopy []string // and as it was when emitted
 }
 
-type keepStats struct {
-	t                      *testing.T
-	builds, snaps, shrinks int
-}
-
-type keepCtx struct {
+type seqCheckCtx struct {
 	model.Context
-	c *keepCheck
+	c *seqCheck
 }
 
-func (x keepCtx) Output(v any) {
+func (x seqCheckCtx) Output(v any) {
 	if s, ok := v.(model.SeqSnapshot); ok {
 		c := x.c
 		if !slices.Equal(c.prev, c.prevCopy) {
-			c.st.t.Errorf("%v: an emitted Seq was mutated: was %v, now %v", x.Self(), c.prevCopy, c.prev)
+			c.t.Errorf("%v: an emitted Seq was mutated: was %v, now %v", x.Self(), c.prevCopy, c.prev)
 		}
-		if want := lcp(c.prevCopy, s.Seq); s.Keep != want {
-			c.st.t.Errorf("%v: Keep %d, want %d (previous %v, now %v)", x.Self(), s.Keep, want, c.prevCopy, s.Seq)
-		}
-		if s.Keep < len(c.prevCopy) {
-			c.st.shrinks++
-		}
-		c.st.snaps++
+		*c.snaps++
 		c.prev, c.prevCopy = s.Seq, slices.Clone(s.Seq)
 	}
 	x.Context.Output(v)
 }
 
-func (c *keepCheck) Init(ctx model.Context) { c.Automaton.Init(keepCtx{ctx, c}) }
-func (c *keepCheck) Tick(ctx model.Context) { c.Automaton.Tick(keepCtx{ctx, c}) }
-func (c *keepCheck) Recv(ctx model.Context, from model.ProcID, m any) {
-	c.Automaton.Recv(keepCtx{ctx, c}, from, m)
+func (c *seqCheck) Init(ctx model.Context) { c.Automaton.Init(seqCheckCtx{ctx, c}) }
+func (c *seqCheck) Tick(ctx model.Context) { c.Automaton.Tick(seqCheckCtx{ctx, c}) }
+func (c *seqCheck) Recv(ctx model.Context, from model.ProcID, m any) {
+	c.Automaton.Recv(seqCheckCtx{ctx, c}, from, m)
 }
-func (c *keepCheck) Input(ctx model.Context, in any) { c.Automaton.Input(keepCtx{ctx, c}, in) }
+func (c *seqCheck) Input(ctx model.Context, in any) { c.Automaton.Input(seqCheckCtx{ctx, c}, in) }
 
-func checkedFactory(st *keepStats, inner model.AutomatonFactory) model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton {
-		st.builds++
-		return &keepCheck{Automaton: inner(p, n), st: st}
-	}
-}
-
-// TestProducersReportExactKeep runs every SeqSnapshot producer under the
-// contract check: etob (under the replica and retransmission, in the hostile
+// TestProducersNeverMutateEmittedSeq runs every SeqSnapshot producer under
+// the check: etob (under the replica and retransmission, in the hostile
 // preset with restarts and a split Ω), consensus.Log and transform.ECToETOB.
-func TestProducersReportExactKeep(t *testing.T) {
+func TestProducersNeverMutateEmittedSeq(t *testing.T) {
 	const n = 5
 	producers := []struct {
-		name     string
-		factory  model.AutomatonFactory
-		hostile  bool
-		shrinkOK bool // whether this producer may drop or reorder d_i
+		name    string
+		factory model.AutomatonFactory
+		hostile bool
 	}{
-		{"etob", etob.Factory(), true, true},
-		{"consensus.Log", consensus.LogFactory(consensus.MajorityQuorums), false, false},
-		{"transform.ECToETOB", transform.ECToETOBFactory(func(p model.ProcID, n int) transform.ECProtocol { return ec.New(p, n) }), false, true},
+		{"etob", etob.Factory(), true},
+		{"consensus.Log", consensus.LogFactory(consensus.MajorityQuorums), false},
+		{"transform.ECToETOB", transform.ECToETOBFactory(func(p model.ProcID, n int) transform.ECProtocol { return ec.New(p, n) }), false},
 	}
 	for _, pr := range producers {
 		t.Run(pr.name, func(t *testing.T) {
-			st := &keepStats{t: t}
+			snaps := 0
+			checked := func(p model.ProcID, n int) model.Automaton {
+				return &seqCheck{Automaton: pr.factory(p, n), t: t, snaps: &snaps}
+			}
 			for seed := int64(1); seed <= 4; seed++ {
 				fp := model.NewFailurePattern(n)
 				det := fd.NewOmegaSplit(fp, 2, 1, 1, 1500)
-				factory := ReplicaFactory(checkedFactory(st, pr.factory), KVFactory)
+				factory := ReplicaFactory(checked, KVFactory)
 				opts := sim.Options{Seed: seed}
 				if pr.hostile {
 					factory = retransmit.Wrap(factory, retransmit.Options{Seed: seed})
@@ -266,19 +255,9 @@ func TestProducersReportExactKeep(t *testing.T) {
 				}
 				k.Run(8000)
 			}
-			if st.snaps == 0 {
+			if snaps == 0 {
 				t.Fatal("no SeqSnapshot was checked")
 			}
-			if pr.hostile && st.builds <= 4*n {
-				t.Errorf("%d automata built over 4 runs of %d: no restart happened", st.builds, n)
-			}
-			if pr.shrinkOK && st.shrinks == 0 {
-				t.Errorf("no snapshot kept less than its predecessor: the reorder path went unchecked")
-			}
-			if !pr.shrinkOK && st.shrinks != 0 {
-				t.Errorf("%d snapshots dropped part of an append-only d_i", st.shrinks)
-			}
-			t.Logf("%d snapshots checked, %d shrank d_i, %d automata built", st.snaps, st.shrinks, st.builds)
 		})
 	}
 }
@@ -293,7 +272,7 @@ func historyReplica(h, steps int) func() {
 	var last Applied
 	ctx := lastCtx{&last}
 	rep := NewReplica(1, seqSource{}, KVFactory)
-	rep.Input(ctx, emit{seq[:h:h], 0})
+	rep.Input(ctx, emit(seq[:h:h]))
 	next := make([]string, steps)
 	for i := range next {
 		next[i] = EncodeCommand(fmt.Sprintf("u.%d", h+i), fmt.Sprintf("set k%d w%d", i%256, i))
@@ -303,7 +282,7 @@ func historyReplica(h, steps int) func() {
 		n := len(seq)
 		seq = append(seq, next[i%steps])
 		i++
-		rep.Input(ctx, emit{seq[: n+1 : n+1], n})
+		rep.Input(ctx, emit(seq[:n+1:n+1]))
 	}
 }
 

@@ -11,10 +11,11 @@
 // may diverge for a finite period". Over a strong TOB (internal/consensus)
 // the same code yields a strongly consistent service.
 //
-// The replica never re-checks the prefix relation itself: every producer
-// reports in model.SeqSnapshot.Keep how much of its previous d_i the new one
-// kept, so a delivery costs O(new commands) and a rebuild happens exactly
-// when Keep < the applied count.
+// The replica keeps the last delivered d_i as a view, not a copy (an emitted
+// model.SeqSnapshot.Seq is read-only), and finds the kept prefix with
+// model.CommonPrefix, which is O(1) when both are views of one append-only
+// array. So a delivery costs O(new commands), and a rebuild happens exactly
+// when the new d_i does not keep all of the old one.
 //
 // Commands piggyback on broadcast message IDs ("<uniq>|<command>"), since
 // the broadcast abstractions order opaque message identifiers.
@@ -23,6 +24,7 @@ package smr
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -81,18 +83,17 @@ func DecodeCommand(id string) (string, bool) {
 // Replica runs a state machine over any broadcast automaton that consumes
 // model.BroadcastInput and emits model.SeqSnapshot (etob.Automaton,
 // consensus.Log, transform.ECToETOB, ...). The applied commands are always
-// the inner protocol's last emitted Seq, so a snapshot's Keep says whether
-// they are still its prefix: when Keep >= the applied count the replica
-// applies Seq[applied:], and only when Keep < the applied count (a reorder,
-// which ETOB allows only before τ) does it rebuild the machine and replay
-// all of Seq.
+// the inner protocol's last emitted Seq, held as a view: when the new Seq
+// keeps all of it as a prefix the replica applies the rest, and only when it
+// does not (a reorder, which ETOB allows only before τ) does it rebuild the
+// machine and replay all of Seq.
 type Replica struct {
 	self    model.ProcID
 	inner   model.Automaton
 	factory MachineFactory
 
 	machine StateMachine
-	applied int // length of the applied prefix of the inner protocol's d_i
+	applied []string // the inner protocol's last emitted d_i, all applied
 	seq     int64
 	rebuilt int
 }
@@ -122,7 +123,7 @@ func (c replicaCtx) Output(v any) {
 		// Pass the raw d_i evolution through (recorders and the (E)TOB
 		// property checkers need it), then reconcile the machine.
 		c.Context.Output(v)
-		c.r.onDelivered(c.Context, snap)
+		c.r.onDelivered(c.Context, snap.Seq)
 		return
 	}
 	c.Context.Output(v)
@@ -155,26 +156,26 @@ func (r *Replica) Input(ctx model.Context, in any) {
 }
 
 // onDelivered reconciles the machine with the newly delivered sequence:
-// apply the suffix if the snapshot kept the whole applied prefix, otherwise
-// rebuild deterministically from scratch.
-func (r *Replica) onDelivered(ctx model.Context, snap model.SeqSnapshot) {
-	rebuilt := snap.Keep < r.applied
+// apply the suffix if the new sequence kept the whole applied one as its
+// prefix, otherwise rebuild deterministically from scratch.
+func (r *Replica) onDelivered(ctx model.Context, seq []string) {
+	from := len(r.applied)
+	rebuilt := model.CommonPrefix(r.applied, seq) < from
 	if rebuilt {
 		r.machine = r.factory()
-		r.applied = 0
 		r.rebuilt++
+		from = 0
 	}
-	from := r.applied
-	for _, id := range snap.Seq[from:] {
+	for _, id := range seq[from:] {
 		if cmd, ok := DecodeCommand(id); ok {
 			r.machine.Apply(cmd)
 		}
 	}
-	r.applied = len(snap.Seq)
-	if rebuilt || r.applied > from {
+	r.applied = seq
+	if rebuilt || len(seq) > from {
 		ctx.Output(Applied{
-			New:     snap.Seq[from:r.applied:r.applied],
-			Total:   r.applied,
+			New:     seq[from:len(seq):len(seq)],
+			Total:   len(seq),
 			Rebuilt: rebuilt,
 		})
 	}
@@ -188,7 +189,7 @@ func (r *Replica) Snapshot() string { return r.machine.Snapshot() }
 func (r *Replica) Inner() model.Automaton { return r.inner }
 
 // AppliedCount returns the number of commands currently applied.
-func (r *Replica) AppliedCount() int { return r.applied }
+func (r *Replica) AppliedCount() int { return len(r.applied) }
 
 // Rebuilds returns how many times the replica replayed from scratch.
 func (r *Replica) Rebuilds() int { return r.rebuilt }
@@ -197,48 +198,43 @@ func (r *Replica) Rebuilds() int { return r.rebuilt }
 // State machines
 // ---------------------------------------------------------------------------
 
-// index holds a keyed machine's entries twice: in a map, for O(1) lookup,
-// and in key order, so that Snapshot walks them once without sorting. A
-// command on an existing key costs a map lookup; adding or removing a key
-// also costs a binary search and an O(K) memmove for K keys.
-type index[V any] struct {
-	m      map[string]*entry[V]
-	sorted []*entry[V]
+// index holds a key-value machine's entries twice: in a map, for O(1)
+// lookup, and in key order, so that Snapshot walks them once without
+// sorting. A command on an existing key costs a map lookup; adding or
+// removing a key also costs a binary search and an O(K) memmove for K keys.
+type index struct {
+	m      map[string]*entry
+	sorted []*entry
 }
 
-type entry[V any] struct {
-	k string
-	v V
-}
+type entry struct{ k, v string }
 
-// at returns the entry of key k, adding a zero-valued one if k is absent.
-func (x *index[V]) at(k string) (e *entry[V], added bool) {
+// at returns the entry of key k, adding an empty one if k is absent.
+func (x *index) at(k string) *entry {
 	if e := x.m[k]; e != nil {
-		return e, false
+		return e
 	}
 	if x.m == nil {
-		x.m = make(map[string]*entry[V])
+		x.m = make(map[string]*entry)
 	}
-	e = &entry[V]{k: k}
+	e := &entry{k: k}
 	x.m[k] = e
 	x.sorted = slices.Insert(x.sorted, x.find(k), e)
-	return e, true
+	return e
 }
 
-// remove deletes key k and returns its entry, or nil if k is absent.
-func (x *index[V]) remove(k string) *entry[V] {
-	e := x.m[k]
-	if e != nil {
+// remove deletes key k if present.
+func (x *index) remove(k string) {
+	if x.m[k] != nil {
 		delete(x.m, k)
 		i := x.find(k)
 		x.sorted = slices.Delete(x.sorted, i, i+1)
 	}
-	return e
 }
 
 // find returns the position of key k in sorted order.
-func (x *index[V]) find(k string) int {
-	i, _ := slices.BinarySearchFunc(x.sorted, k, func(e *entry[V], k string) int { return strings.Compare(e.k, k) })
+func (x *index) find(k string) int {
+	i, _ := slices.BinarySearchFunc(x.sorted, k, func(e *entry, k string) int { return strings.Compare(e.k, k) })
 	return i
 }
 
@@ -246,11 +242,10 @@ func (x *index[V]) find(k string) int {
 //
 //	set <k> <v> | del <k> | append <k> <v>
 //
-// Its entries are kept in key order (see index) with their encoded size
-// running, so Snapshot is one O(state bytes) pass into one allocation.
+// Its entries are kept in key order (see index), so Snapshot is one
+// O(state bytes) pass into one allocation.
 type KVStore struct {
-	kv   index[string]
-	size int // len(k)+len(v)+2 per entry: len(Snapshot()) plus one
+	kv index
 }
 
 var _ StateMachine = (*KVStore)(nil)
@@ -272,38 +267,23 @@ func (s *KVStore) Apply(cmd string) string {
 		if len(f) < 3 {
 			return "err set"
 		}
-		s.put(f[1], strings.Join(f[2:], " "), false)
+		s.kv.at(f[1]).v = strings.Join(f[2:], " ")
 		return "ok"
 	case "del":
 		if len(f) < 2 {
 			return "err del"
 		}
-		if e := s.kv.remove(f[1]); e != nil {
-			s.size -= len(e.k) + len(e.v) + 2
-		}
+		s.kv.remove(f[1])
 		return "ok"
 	case "append":
 		if len(f) < 3 {
 			return "err append"
 		}
-		s.put(f[1], strings.Join(f[2:], " "), true)
+		s.kv.at(f[1]).v += strings.Join(f[2:], " ")
 		return "ok"
 	default:
 		return "err unknown"
 	}
-}
-
-// put sets key k to v, or appends v to its value when add is set.
-func (s *KVStore) put(k, v string, add bool) {
-	e, added := s.kv.at(k)
-	if added {
-		s.size += len(k) + 2
-	}
-	if add {
-		v = e.v + v
-	}
-	s.size += len(v) - len(e.v)
-	e.v = v
 }
 
 // Get returns the value of a key.
@@ -316,8 +296,12 @@ func (s *KVStore) Get(k string) (string, bool) {
 
 // Snapshot implements StateMachine: "k=v" pairs in key order, joined by ",".
 func (s *KVStore) Snapshot() string {
+	size := 0
+	for _, e := range s.kv.sorted {
+		size += len(e.k) + len(e.v) + 2
+	}
 	var b strings.Builder
-	b.Grow(s.size)
+	b.Grow(size)
 	for i, e := range s.kv.sorted {
 		if i > 0 {
 			b.WriteByte(',')
@@ -330,17 +314,14 @@ func (s *KVStore) Snapshot() string {
 }
 
 // Counter is a named-counter machine. Commands: inc <name> [n] | dec <name> [n].
-// Its state is kept like KVStore's: Snapshot is one pass into one
-// allocation, and a command that adds a name costs an O(K) memmove.
 type Counter struct {
-	c    index[int64]
-	size int // len(k)+digits(v)+2 per entry: len(Snapshot()) plus one
+	m map[string]int64
 }
 
 var _ StateMachine = (*Counter)(nil)
 
 // NewCounter returns an empty counter machine.
-func NewCounter() *Counter { return &Counter{} }
+func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
 
 // CounterFactory is a MachineFactory for Counter.
 func CounterFactory() StateMachine { return NewCounter() }
@@ -359,56 +340,30 @@ func (c *Counter) Apply(cmd string) string {
 	}
 	switch f[0] {
 	case "inc":
+		c.m[f[1]] += n
 	case "dec":
-		n = -n
+		c.m[f[1]] -= n
 	default:
 		return "err unknown"
 	}
-	e, added := c.c.at(f[1])
-	if added {
-		c.size += len(e.k) + decLen(0) + 2
-	}
-	c.size -= decLen(e.v)
-	e.v += n
-	c.size += decLen(e.v)
-	return strconv.FormatInt(e.v, 10)
+	return strconv.FormatInt(c.m[f[1]], 10)
 }
 
 // Value returns the current value of a counter.
-func (c *Counter) Value(name string) int64 {
-	if e := c.c.m[name]; e != nil {
-		return e.v
-	}
-	return 0
-}
+func (c *Counter) Value(name string) int64 { return c.m[name] }
 
-// Snapshot implements StateMachine: "name=value" pairs in name order, joined
-// by ",".
+// Snapshot implements StateMachine.
 func (c *Counter) Snapshot() string {
-	var b strings.Builder
-	b.Grow(c.size)
-	var digits [20]byte
-	for i, e := range c.c.sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(e.k)
-		b.WriteByte('=')
-		b.Write(strconv.AppendInt(digits[:0], e.v, 10))
+	keys := make([]string, 0, len(c.m))
+	for k := range c.m {
+		keys = append(keys, k)
 	}
-	return b.String()
-}
-
-// decLen is len(strconv.FormatInt(v, 10)).
-func decLen(v int64) int {
-	n := 1
-	if v < 0 {
-		n++
+	sort.Strings(keys)
+	parts := make([]string, 0, len(keys))
+	for _, k := range keys {
+		parts = append(parts, fmt.Sprintf("%s=%d", k, c.m[k]))
 	}
-	for ; v <= -10 || v >= 10; v /= 10 {
-		n++
-	}
-	return n
+	return strings.Join(parts, ",")
 }
 
 // AppendLog is an append-only log machine. Command: any string, appended.

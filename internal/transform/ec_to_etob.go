@@ -110,7 +110,7 @@ func (a *ECToETOB) onInnerOutput(outer model.Context, v any) {
 	d := decodeSeq(dec.Value)
 	if keep := model.CommonPrefix(a.d, d); keep < len(a.d) || keep < len(d) {
 		a.d = d
-		outer.Output(model.SeqSnapshot{Seq: a.d, Keep: keep})
+		outer.Output(model.SeqSnapshot{Seq: a.d})
 	}
 	a.count++
 	next := append(append([]string(nil), a.d...), a.newBatch()...)

@@ -148,15 +148,16 @@ func (a *ETOBToEC) maybeDecide(ctx model.Context) {
 	}
 }
 
-// onInnerOutput mirrors the inner protocol's d_i: it copies only what d_i
-// gained past the kept prefix (SeqSnapshot.Keep). The First cache survives
-// when the scan has not passed the kept prefix; a shorter kept prefix means
-// d_i reordered or dropped scanned messages (that is the "eventual" in ETOB),
-// so the scan restarts from the front.
+// onInnerOutput mirrors the inner protocol's d_i, keeping the emitted Seq
+// itself (it is read-only). The First cache survives when the new d_i keeps
+// the whole scanned prefix; a shorter kept prefix means d_i reordered or
+// dropped scanned messages (that is the "eventual" in ETOB), so the scan
+// restarts from the front.
 func (a *ETOBToEC) onInnerOutput(_ model.Context, v any) {
 	if s, ok := v.(model.SeqSnapshot); ok {
-		a.d = append(a.d[:s.Keep], s.Seq[s.Keep:]...)
-		if s.Keep < a.scanned {
+		keep := model.CommonPrefix(a.d, s.Seq)
+		a.d = s.Seq
+		if keep < a.scanned {
 			a.scanned = 0
 			clear(a.firstKnown)
 		}
