@@ -11,13 +11,6 @@
 //	bench -quick                # smaller workloads
 //	bench -seed 7               # change the base seed
 //	bench -parallel 4           # worker-pool size (default GOMAXPROCS)
-//	bench -cell-timeout 2m      # abandon any cell that runs longer (a
-//	                            # divergent run cannot hang the table; the
-//	                            # cell's rows become a TIMEOUT marker)
-//	bench -shard 0/2            # run only this shard's cells (deterministic
-//	                            # partition for multi-machine sweeps; shards
-//	                            # 0/2 and 1/2 together cover every cell
-//	                            # exactly once)
 //	bench -repeat 5             # time every cell as the median of 5 runs
 //	                            # (rows are deterministic and printed once;
 //	                            # only the recorded timings steady; the
@@ -65,8 +58,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "smaller workloads")
 	seed := flag.Int64("seed", 42, "base PRNG seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker-pool size (1 = serial, <=0 = GOMAXPROCS)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell execution bound; a cell exceeding it is abandoned with a TIMEOUT row (0 = unbounded)")
-	shard := flag.String("shard", "", "run only shard i of n cells, as \"i/n\" (deterministic partition for multi-machine sweeps)")
 	repeat := flag.Int("repeat", 1, "run every cell N times and record the median cell time (tames single-core noise)")
 	jsonPath := flag.String("json", "", "write a machine-readable report to this path")
 	scaling := flag.String("scaling", "", "comma-separated worker counts to sweep for the -json scaling section, e.g. 1,2,8")
@@ -79,14 +70,6 @@ func run() int {
 	var ids []string
 	if *exp != "" {
 		ids = []string{*exp}
-	}
-	sh, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 2
-	}
-	if sh.Count > 1 {
-		fmt.Fprintf(os.Stderr, "bench: running shard %d/%d (tables are partial; reassemble with the other shards)\n", sh.Index, sh.Count)
 	}
 	if *jsonPath == "" && (*scaling != "" || *scaleN != "") {
 		fmt.Fprintln(os.Stderr, "bench: -scaling/-scalen require -json")
@@ -103,7 +86,7 @@ func run() int {
 		}
 	}()
 
-	runner := bench.Runner{Opts: opts, Parallel: *parallel, CellTimeout: *cellTimeout, Shard: sh, Repeat: *repeat}
+	runner := bench.Runner{Opts: opts, Parallel: *parallel, Repeat: *repeat}
 	start := time.Now()
 	results, err := runner.Run(ids)
 	if err != nil {
@@ -121,7 +104,7 @@ func run() int {
 	if *jsonPath == "" {
 		return 0
 	}
-	report := bench.NewReport(opts, *parallel, *repeat, results, wall)
+	report := bench.NewReport(runner, results, wall)
 	if *scaling != "" {
 		points, err := scalingSweep(runner, ids, *scaling)
 		if err != nil {
@@ -193,23 +176,6 @@ func startProfile(kind, dir string) (func() error, error) {
 	}
 }
 
-// parseShard parses the -shard "i/n" syntax; empty means no sharding.
-func parseShard(spec string) (bench.Shard, error) {
-	if spec == "" {
-		return bench.Shard{}, nil
-	}
-	parts := strings.SplitN(spec, "/", 2)
-	if len(parts) != 2 {
-		return bench.Shard{}, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", spec)
-	}
-	i, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-	n, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
-		return bench.Shard{}, fmt.Errorf("bad -shard %q (want i/n with 0 <= i < n)", spec)
-	}
-	return bench.Shard{Index: i, Count: n}, nil
-}
-
 // scalingSweep reruns the selected experiments once per worker count and
 // measures the suite wall time.
 func scalingSweep(base bench.Runner, ids []string, spec string) ([]bench.ScalingPoint, error) {
@@ -220,8 +186,8 @@ func scalingSweep(base bench.Runner, ids []string, spec string) ([]bench.Scaling
 			return nil, fmt.Errorf("bad -scaling entry %q (want positive integers)", s)
 		}
 		fmt.Fprintf(os.Stderr, "bench: scaling sweep with %d workers\n", w)
-		// Deliberately not inheriting Repeat (or CellTimeout/Shard): a scaling
-		// point records one wall time, so repetitions would only multiply work.
+		// Deliberately not inheriting Repeat: a scaling point records one
+		// wall time, so repetitions would only multiply work.
 		r := bench.Runner{Opts: base.Opts, Parallel: w}
 		start := time.Now()
 		if _, err := r.Run(ids); err != nil {

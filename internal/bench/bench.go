@@ -29,16 +29,19 @@
 //	              i.i.d., quantifying the inversion E12's honesty note
 //	              flagged — the blind rotation can cost less than noise,
 //	              leader-awareness costs ~10x over both
+//	E14 §2        the starvation target matters: starving a quorum of
+//	              followers (Sigma's attack surface) while sparing the
+//	              leader is weaker against EC than starving the leader
 //
 // All experiments run on the deterministic kernel; absolute times are
 // simulator ticks, and "steps" are message delays: the paper counts
 // communication steps, and local timeouts are an additive, tunable term.
 //
-// The suite lives in a single ordered registry (registry.go) from which All,
-// ByID, IDs, and the parallel sweep Runner all derive. Every experiment is
-// decomposed into independent seeded cells; Runner fans the cells of a whole
-// run across a bounded worker pool and reassembles rows in registry order,
-// so parallel output is byte-identical to serial. Report (report.go) is the
+// The suite lives in a single ordered registry (registry.go) from which IDs
+// and the sweep Runner derive. Every experiment is decomposed into
+// independent seeded cells; Runner fans the cells of a whole run across a
+// bounded worker pool and reassembles rows in registry order, so the output
+// is byte-identical for any pool size. Report (report.go) is the
 // machine-readable JSON report cmd/bench -json writes alongside the tables.
 package bench
 

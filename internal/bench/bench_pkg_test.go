@@ -23,14 +23,20 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
+// TestByID: experiment IDs resolve case-insensitively, in the requested
+// order, and an unknown ID does not resolve.
 func TestByID(t *testing.T) {
-	opts := Options{Quick: true}
-	for _, id := range []string{"e1", "E2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "E11", "e12", "e13"} {
-		if _, ok := ByID(id, opts); !ok {
-			t.Errorf("ByID(%q) not found", id)
+	ids := []string{"e1", "E2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "E11", "e12", "e13", "e14"}
+	specs, err := specsFor(ids, Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		if !strings.EqualFold(s.shell.ID, ids[i]) {
+			t.Errorf("specsFor(%q) resolved to %s", ids[i], s.shell.ID)
 		}
 	}
-	if _, ok := ByID("e99", opts); ok {
+	if _, err := specsFor([]string{"e99"}, Options{Quick: true}); err == nil {
 		t.Error("unknown ID must not resolve")
 	}
 }
@@ -39,7 +45,7 @@ func TestByID(t *testing.T) {
 // claim, not merely run.
 
 func TestE1StepCounts(t *testing.T) {
-	tbl := E1Latency(Options{Quick: true})
+	tbl := quickTable(t, "E1")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows: %v", tbl.Rows)
 	}
@@ -53,7 +59,7 @@ func TestE1StepCounts(t *testing.T) {
 }
 
 func TestE2AllEnvironmentsOK(t *testing.T) {
-	tbl := E2AnyEnvironment(Options{Quick: true})
+	tbl := quickTable(t, "E2")
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -65,7 +71,7 @@ func TestE2AllEnvironmentsOK(t *testing.T) {
 }
 
 func TestE3AllStacksOK(t *testing.T) {
-	tbl := E3Equivalence(Options{Quick: true})
+	tbl := quickTable(t, "E3")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows: %v", tbl.Rows)
 	}
@@ -77,7 +83,7 @@ func TestE3AllStacksOK(t *testing.T) {
 }
 
 func TestE4FinalRoundsAgreeAndCorrect(t *testing.T) {
-	tbl := E4Extraction(Options{Quick: true})
+	tbl := quickTable(t, "E4")
 	// The LAST round of every scenario must agree on a correct process.
 	last := map[string][]string{}
 	for _, row := range tbl.Rows {
@@ -91,7 +97,7 @@ func TestE4FinalRoundsAgreeAndCorrect(t *testing.T) {
 }
 
 func TestE5GapShape(t *testing.T) {
-	tbl := E5SigmaGap(Options{Quick: true})
+	tbl := quickTable(t, "E5")
 	byName := map[string][]string{}
 	for _, row := range tbl.Rows {
 		byName[row[0]] = row
@@ -111,7 +117,7 @@ func TestE5GapShape(t *testing.T) {
 }
 
 func TestE6AllStrong(t *testing.T) {
-	tbl := E6StableOmega(Options{Quick: true})
+	tbl := quickTable(t, "E6")
 	for _, row := range tbl.Rows {
 		if row[4] != "yes" || row[3] != "0" {
 			t.Errorf("stable omega run not strong TOB: %v", row)
@@ -120,7 +126,7 @@ func TestE6AllStrong(t *testing.T) {
 }
 
 func TestE7CausalAlwaysHolds(t *testing.T) {
-	tbl := E7CausalOrder(Options{Quick: true})
+	tbl := quickTable(t, "E7")
 	divergedSomewhere := false
 	for _, row := range tbl.Rows {
 		if row[1] != "yes" {
@@ -139,7 +145,7 @@ func TestE7CausalAlwaysHolds(t *testing.T) {
 }
 
 func TestE8BothDirectionsOK(t *testing.T) {
-	tbl := E8EIC(Options{Quick: true})
+	tbl := quickTable(t, "E8")
 	for _, row := range tbl.Rows {
 		if row[2] != "yes" {
 			t.Errorf("EIC stack failed: %v", row)
@@ -148,7 +154,7 @@ func TestE8BothDirectionsOK(t *testing.T) {
 }
 
 func TestE9AlwaysReconverges(t *testing.T) {
-	tbl := E9PartitionSweep(Options{Quick: true})
+	tbl := quickTable(t, "E9")
 	if len(tbl.Rows) < 4 {
 		t.Fatalf("rows: %v", tbl.Rows)
 	}
@@ -189,7 +195,7 @@ func TestE9AlwaysReconverges(t *testing.T) {
 // retransmission layer restores eventual delivery across down intervals), and
 // churn must actually have happened (restarts > 0).
 func TestE10ChurnConverges(t *testing.T) {
-	tbl := E10ChurnSweep(Options{Quick: true})
+	tbl := quickTable(t, "E10")
 	if len(tbl.Rows) < 2 {
 		t.Fatalf("rows: %v", tbl.Rows)
 	}
@@ -209,7 +215,7 @@ func TestE10ChurnConverges(t *testing.T) {
 // rate with a finite convergence tick.
 func TestE11LossGate(t *testing.T) {
 	for _, opts := range []Options{{Quick: true}, {}} {
-		tbl := E11LossSweep(opts)
+		tbl := table(t, opts, "E11")
 		for _, row := range tbl.Rows {
 			rate, err := strconv.Atoi(strings.TrimSuffix(row[0], "%"))
 			if err != nil {
@@ -241,7 +247,7 @@ func TestE11LossGate(t *testing.T) {
 // convergence (it is an admissible environment), and on the broadcast
 // workload its worst decision latency must be at least i.i.d.'s.
 func TestE12AdversaryAdmissible(t *testing.T) {
-	tbl := E12AdversarialScheduler(Options{Quick: true})
+	tbl := quickTable(t, "E12")
 	lat := map[string]int{}
 	for _, row := range tbl.Rows {
 		if row[2] != "yes" {
@@ -261,16 +267,16 @@ func TestE12AdversaryAdmissible(t *testing.T) {
 }
 
 func TestAllRuns(t *testing.T) {
-	tables := All(Options{Quick: true})
-	if len(tables) != 14 {
-		t.Fatalf("All returned %d tables", len(tables))
+	results := quickSuite(t)
+	if len(results) != 14 {
+		t.Fatalf("the suite returned %d tables", len(results))
 	}
-	for _, tbl := range tables {
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s has no rows", tbl.ID)
+	for _, r := range results {
+		if len(r.Table.Rows) == 0 {
+			t.Errorf("%s has no rows", r.Table.ID)
 		}
-		if tbl.Format() == "" {
-			t.Errorf("%s formats empty", tbl.ID)
+		if r.Table.Format() == "" {
+			t.Errorf("%s formats empty", r.Table.ID)
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// E10ChurnSweep measures eventual consistency under CHURN: processes crash
+// e10Spec decomposes E10 into one cell per churn rate.
+//
+// E10 measures eventual consistency under CHURN: processes crash
 // and rejoin on a seeded schedule (adversary.Churn via the kernel's
 // suspend/restart semantics), with the churn rate — the mean up/down interval
 // length — as the sweep parameter. Ω is the live-set detector fd.OmegaUp, so
@@ -26,9 +28,6 @@ import (
 // the experiment then shows the convergence LAG tracking churn violence —
 // the same shape as E9's partition sweep, on the failure axis instead of the
 // link axis.
-func E10ChurnSweep(opts Options) Table { return e10Spec(opts).run() }
-
-// e10Spec decomposes E10 into one cell per churn rate.
 func e10Spec(opts Options) spec {
 	const (
 		n     = 5

@@ -12,7 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// E11LossSweep measures what the paper's §2 eventual-delivery assumption is
+// e11Spec decomposes E11 into one cell per (drop rate, mode) pair.
+//
+// E11 measures what the paper's §2 eventual-delivery assumption is
 // actually WORTH: the same eventual-consensus workload (Algorithm 4, driven
 // through a fixed ladder of instances) runs over an increasingly lossy wire
 // (adversary.Lossy with bursts), once raw and once inside retransmit.Wrap.
@@ -26,9 +28,6 @@ import (
 // convergence tick) from 10% up, and — the retransmission layer's point —
 // a finite convergence tick restored in EVERY cell once retransmit.Wrap
 // carries the same protocol, at the measured cost in resends.
-func E11LossSweep(opts Options) Table { return e11Spec(opts).run() }
-
-// e11Spec decomposes E11 into one cell per (drop rate, mode) pair.
 func e11Spec(opts Options) spec {
 	const (
 		n         = 4

@@ -13,7 +13,17 @@ import (
 	"repro/internal/transform"
 )
 
-// E12AdversarialScheduler runs the divergence-maximizing scheduler head to
+// e12Net builds the two competing network factories over the same support.
+func e12Net(adversarial bool) sim.NetworkFactory {
+	if adversarial {
+		return func() sim.NetworkModel { return &adversary.AdversarialScheduler{Min: 1, Max: 60} }
+	}
+	return func() sim.NetworkModel { return sim.NewUniform(1, 60) }
+}
+
+// e12Spec decomposes E12 into one cell per (workload, scheduler) pair.
+//
+// E12 runs the divergence-maximizing scheduler head to
 // head against i.i.d. delays drawn over the IDENTICAL support ([1, 60]
 // ticks), on the suite's two canonical workloads: the E9-style broadcast
 // convergence run (ETOB under a stable leader) and the E3-style
@@ -24,17 +34,6 @@ import (
 // admissible envelope the greedy adversary actually costs versus i.i.d.
 // noise: later convergence, larger worst-case decision latency, larger
 // measured tau.
-func E12AdversarialScheduler(opts Options) Table { return e12Spec(opts).run() }
-
-// e12Net builds the two competing network factories over the same support.
-func e12Net(adversarial bool) sim.NetworkFactory {
-	if adversarial {
-		return func() sim.NetworkModel { return &adversary.AdversarialScheduler{Min: 1, Max: 60} }
-	}
-	return func() sim.NetworkModel { return sim.NewUniform(1, 60) }
-}
-
-// e12Spec decomposes E12 into one cell per (workload, scheduler) pair.
 func e12Spec(opts Options) spec {
 	s := spec{shell: Table{
 		ID:     "E12",

@@ -9,19 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// E13LeaderAware is the three-way scheduler head-to-head the E12 honesty note
-// asked for: the protocol-AWARE adversary (adversary.LeaderStarver, starving
-// whatever process the run's Ω currently outputs) against the protocol-BLIND
-// rotation (adversary.AdversarialScheduler) and against i.i.d. noise, all
-// drawing delays over the IDENTICAL [1, 60] support, on E12's two canonical
-// workloads. E12 showed the blind rotation can cost LESS than i.i.d. on the
-// transform workload when its victim rotation spares the post-stabilization
-// leader; E13 quantifies how much of that gap leader-awareness recovers —
-// the leader-aware schedule must never converge earlier than the blind one,
-// and on the flagged transform workload it must converge strictly later
-// (pinned by TestE13LeaderAwareDominatesBlind).
-func E13LeaderAware(opts Options) Table { return e13Spec(opts).run() }
-
 // e13Schedulers names the three competing network factories over the same
 // delay support. The order is the table's row order per workload.
 func e13Schedulers() []struct {
@@ -40,6 +27,18 @@ func e13Schedulers() []struct {
 
 // e13Spec decomposes E13 into one cell per (workload, scheduler) pair,
 // reusing E12's cell bodies so the workloads are identical by construction.
+//
+// E13 is the three-way scheduler head-to-head the E12 honesty note
+// asked for: the protocol-AWARE adversary (adversary.LeaderStarver, starving
+// whatever process the run's Ω currently outputs) against the protocol-BLIND
+// rotation (adversary.AdversarialScheduler) and against i.i.d. noise, all
+// drawing delays over the IDENTICAL [1, 60] support, on E12's two canonical
+// workloads. E12 showed the blind rotation can cost LESS than i.i.d. on the
+// transform workload when its victim rotation spares the post-stabilization
+// leader; E13 quantifies how much of that gap leader-awareness recovers —
+// the leader-aware schedule must never converge earlier than the blind one,
+// and on the flagged transform workload it must converge strictly later
+// (pinned by TestE13LeaderAwareDominatesBlind).
 func e13Spec(opts Options) spec {
 	s := spec{shell: Table{
 		ID:     "E13",

@@ -39,7 +39,7 @@ func TestE13LeaderAwareDominatesBlind(t *testing.T) {
 			name = "quick"
 		}
 		t.Run(name, func(t *testing.T) {
-			cells := e13ConvergedAt(t, E13LeaderAware(opts))
+			cells := e13ConvergedAt(t, table(t, opts, "E13"))
 			for _, workload := range []string{"broadcast (E9)", "transform (E3)"} {
 				blind := cells[[2]string{workload, "blind-rotation"}]
 				aware := cells[[2]string{workload, "leader-aware"}]

@@ -5,19 +5,6 @@ import (
 	"repro/internal/sim/adversary"
 )
 
-// E14QuorumStarver is the E13 variant the ROADMAP's adversary-axis follow-on
-// asked for: the leader-starving schedule against its QUORUM-FOLLOWER
-// redirection (adversary.LeaderStarver with StarveQuorum — the ⌈n/2⌉
-// lowest-id followers pinned at the bound, the leader spared), on E13's two
-// canonical workloads over the identical [1, 60] delay support. The quorum
-// mode is aimed at Σ-based baselines, where assembling an unstarved majority
-// quorum is the primitive under attack; against the EC stack — whose
-// convergence pipeline runs through the leader, not through quorums — it
-// measures how much adversarial power is LOST by sparing the leader:
-// starving everything around the pipeline's source is not the same as
-// starving the source.
-func E14QuorumStarver(opts Options) Table { return e14Spec(opts).run() }
-
 // e14Schedulers names the two starvation targets over the same delay
 // support. The order is the table's row order per workload.
 func e14Schedulers() []struct {
@@ -36,6 +23,18 @@ func e14Schedulers() []struct {
 // e14Spec decomposes E14 into one cell per (workload, starvation target),
 // reusing E12/E13's cell bodies so the workloads are identical by
 // construction and the leader-aware rows are directly comparable to E13's.
+//
+// E14 is the E13 variant the ROADMAP's adversary-axis follow-on
+// asked for: the leader-starving schedule against its QUORUM-FOLLOWER
+// redirection (adversary.LeaderStarver with StarveQuorum — the ⌈n/2⌉
+// lowest-id followers pinned at the bound, the leader spared), on E13's two
+// canonical workloads over the identical [1, 60] delay support. The quorum
+// mode is aimed at Σ-based baselines, where assembling an unstarved majority
+// quorum is the primitive under attack; against the EC stack — whose
+// convergence pipeline runs through the leader, not through quorums — it
+// measures how much adversarial power is LOST by sparing the leader:
+// starving everything around the pipeline's source is not the same as
+// starving the source.
 func e14Spec(opts Options) spec {
 	s := spec{shell: Table{
 		ID:     "E14",

@@ -16,7 +16,7 @@ func TestE14QuorumStarveWeakerThanLeaderStarve(t *testing.T) {
 			name = "quick"
 		}
 		t.Run(name, func(t *testing.T) {
-			cells := e13ConvergedAt(t, E14QuorumStarver(opts))
+			cells := e13ConvergedAt(t, table(t, opts, "E14"))
 			for _, workload := range []string{"broadcast (E9)", "transform (E3)"} {
 				leader := cells[[2]string{workload, "leader-aware"}]
 				quorum := cells[[2]string{workload, "quorum-starve"}]

@@ -11,14 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// E1Latency measures broadcast→stable-delivery latency in communication
+// e1Spec decomposes E1 into one cell per protocol.
+//
+// E1 measures broadcast→stable-delivery latency in communication
 // steps (units of the fixed link delay D) under a stable leader, for the
 // paper's ETOB versus the strong baselines. The paper's claim (§5, §7):
 // ETOB completes an operation in the optimal TWO communication steps, while
 // strongly consistent broadcast needs THREE in the worst case [Lamport 06].
-func E1Latency(opts Options) Table { return e1Spec(opts).run() }
-
-// e1Spec decomposes E1 into one cell per protocol.
 func e1Spec(opts Options) spec {
 	const (
 		n     = 5

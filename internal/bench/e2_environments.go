@@ -10,16 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// E2AnyEnvironment checks Lemma 2 across environments: Algorithm 4
+// e2Spec decomposes E2 into one cell per (environment sample, tauOmega)
+// pair. The sampled failure patterns are built once here and shared
+// read-only by the cells.
+//
+// E2 checks Lemma 2 across environments: Algorithm 4
 // implements EC with Ω regardless of how many processes crash — including
 // with only a correct minority (where strong consensus is impossible without
 // Σ). Reported: whether the EC spec held and the measured agreement
 // instance k relative to Ω's stabilization.
-func E2AnyEnvironment(opts Options) Table { return e2Spec(opts).run() }
-
-// e2Spec decomposes E2 into one cell per (environment sample, tauOmega)
-// pair. The sampled failure patterns are built once here and shared
-// read-only by the cells.
 func e2Spec(opts Options) spec {
 	n := 5
 	instances := 8

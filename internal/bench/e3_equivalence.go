@@ -12,12 +12,11 @@ import (
 	"repro/internal/transform"
 )
 
-// E3Equivalence makes Theorem 1 executable: Algorithm 1 turns EC into ETOB,
+// e3Spec decomposes E3 into one cell per transformation stack.
+//
+// E3 makes Theorem 1 executable: Algorithm 1 turns EC into ETOB,
 // Algorithm 2 turns ETOB into EC, and the two compose back to EC. Each stack
 // is property-checked and its overhead (link-level messages) reported.
-func E3Equivalence(opts Options) Table { return e3Spec(opts).run() }
-
-// e3Spec decomposes E3 into one cell per transformation stack.
 func e3Spec(opts Options) spec {
 	n := 3
 	s := spec{shell: Table{

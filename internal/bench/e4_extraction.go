@@ -8,17 +8,16 @@ import (
 	"repro/internal/model"
 )
 
-// E4Extraction runs the CHT reduction (Lemma 1 / Theorem 2, necessity):
+// e4Spec decomposes E4 into one cell per reduction scenario; each cell
+// contributes one row per emulation round. E4 runs no kernel (the CHT
+// reduction samples histories directly), so its step counts are zero.
+//
+// E4 runs the CHT reduction (Lemma 1 / Theorem 2, necessity):
 // emulate Ω from the algorithm A = Algorithm 4 and the detector D = Ω, both
 // in the classical one-shot form (Appendix B) and in the paper's eventual-
 // consensus extension (§4). Reported per round: each correct process's Ω
 // estimate — the claim is that estimates stabilize on the same CORRECT
 // process.
-func E4Extraction(opts Options) Table { return e4Spec(opts).run() }
-
-// e4Spec decomposes E4 into one cell per reduction scenario; each cell
-// contributes one row per emulation round. E4 runs no kernel (the CHT
-// reduction samples histories directly), so its step counts are zero.
 func e4Spec(opts Options) spec {
 	rounds := 4
 	if opts.Quick {

@@ -12,17 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// E5SigmaGap operationalizes the paper's headline gap (§1, §7): with only a
+// e5Spec decomposes E5 into one cell per protocol: three broadcast stacks
+// and two ABD register configurations. Each cell builds its own crash
+// pattern, so nothing is shared.
+//
+// E5 operationalizes the paper's headline gap (§1, §7): with only a
 // correct minority, any majority-quorum protocol blocks (0 operations),
 // while the paper's ETOB — needing only Ω — keeps delivering; adding the Σ
 // oracle (detector Ω+Σ) restores liveness to the strong protocols, showing
 // that Σ is exactly the information separating consistency from eventual
 // consistency.
-func E5SigmaGap(opts Options) Table { return e5Spec(opts).run() }
-
-// e5Spec decomposes E5 into one cell per protocol: three broadcast stacks
-// and two ABD register configurations. Each cell builds its own crash
-// pattern, so nothing is shared.
 func e5Spec(opts Options) spec {
 	const n = 5
 	// 2 of 5 correct: p3, p4, p5 crash at t=0.

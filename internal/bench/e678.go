@@ -13,12 +13,11 @@ import (
 	"repro/internal/transform"
 )
 
-// E6StableOmega checks §5 property 2: whenever Ω outputs the same leader at
+// e6Spec decomposes E6 into one cell per (leader, seed) pair.
+//
+// E6 checks §5 property 2: whenever Ω outputs the same leader at
 // every process from time 0, Algorithm 5 satisfies the STRONG total order
 // broadcast specification (measured τ = 0), across seeds and leaders.
-func E6StableOmega(opts Options) Table { return e6Spec(opts).run() }
-
-// e6Spec decomposes E6 into one cell per (leader, seed) pair.
 func e6Spec(opts Options) spec {
 	n := 4
 	seeds := []int64{1, 2, 3, 4, 5, 6}
@@ -62,13 +61,12 @@ func e6Spec(opts Options) spec {
 	return s
 }
 
-// E7CausalOrder checks §5 property 3: TOB-Causal-Order holds at ALL times —
+// e7Spec decomposes E7 into one cell per seed.
+//
+// E7 checks §5 property 3: TOB-Causal-Order holds at ALL times —
 // even during a split-brain window in which half the processes trust one
 // leader and half another, replicas diverge (ETOB τ > 0, SMR rebuilds > 0),
 // and yet no delivered sequence ever inverts a causal dependency.
-func E7CausalOrder(opts Options) Table { return e7Spec(opts).run() }
-
-// e7Spec decomposes E7 into one cell per seed.
 func e7Spec(opts Options) spec {
 	n := 4
 	seeds := []int64{10, 11, 12, 13}
@@ -138,12 +136,11 @@ func e7Spec(opts Options) spec {
 	return s
 }
 
-// E8EIC checks Appendix A: Algorithm 6 turns EC into eventual irrevocable
+// e8Spec decomposes E8 into one cell per transformation direction.
+//
+// E8 checks Appendix A: Algorithm 6 turns EC into eventual irrevocable
 // consensus (finitely many revocations: IntegrityK finite), and Algorithm 7
 // turns EIC back into EC.
-func E8EIC(opts Options) Table { return e8Spec(opts).run() }
-
-// e8Spec decomposes E8 into one cell per transformation direction.
 func e8Spec(opts Options) spec {
 	n := 3
 	s := spec{shell: Table{

@@ -11,7 +11,18 @@ import (
 	"repro/internal/trace"
 )
 
-// E9PartitionSweep measures eventual consistency under crash-free network
+// e9Case parameterizes one E9 cell: a protocol stack over a partition shape.
+type e9Case struct {
+	protocol string
+	factory  model.AutomatonFactory
+	det      func(fp *model.FailurePattern) fd.Detector
+	sides    int
+	dur      model.Time
+}
+
+// e9Spec decomposes E9 into one cell per (protocol, sides, duration).
+//
+// E9 measures eventual consistency under crash-free network
 // partitions (the sim.Partitioned / sim.MultiPartitioned network models).
 // All five processes stay up; links sever at t=500 and heal after the
 // sweep's duration, with cross-partition traffic buffered until the heal
@@ -37,18 +48,6 @@ import (
 // broadcast (EC convergence), how far behind the heal that is, and the worst
 // per-broadcast decision latency (stable delivery at ALL correct processes
 // minus broadcast time).
-func E9PartitionSweep(opts Options) Table { return e9Spec(opts).run() }
-
-// e9Case parameterizes one E9 cell: a protocol stack over a partition shape.
-type e9Case struct {
-	protocol string
-	factory  model.AutomatonFactory
-	det      func(fp *model.FailurePattern) fd.Detector
-	sides    int
-	dur      model.Time
-}
-
-// e9Spec decomposes E9 into one cell per (protocol, sides, duration).
 func e9Spec(opts Options) spec {
 	const (
 		n       = 5

@@ -21,11 +21,7 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl, ok := ByID(id, opts)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
-			if got := tbl.Format(); got != string(want) {
+			if got := table(t, opts, id).Format(); got != string(want) {
 				t.Errorf("%s output drifted from golden snapshot.\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
 			}
 		})
@@ -43,11 +39,7 @@ func TestGoldenQuickSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
-	results, err := (Runner{Opts: Options{Quick: true}, Parallel: 1}).Run(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := quickResults(t, "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12")
 	if got := formatAll(results); got != string(want) {
 		t.Errorf("E1–E12 quick suite drifted from the pre-adversary snapshot.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -61,11 +53,7 @@ func TestGoldenQuickSuiteE13E14(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := (Runner{Opts: Options{Quick: true}, Parallel: 1}).Run([]string{"E13", "E14"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := formatAll(results); got != string(want) {
+	if got := formatAll(quickResults(t, "E13", "E14")); got != string(want) {
 		t.Errorf("E13–E14 quick tables drifted from the committed snapshot.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -20,7 +20,7 @@ type cellOut struct {
 // shares no mutable state with its siblings, and derives all randomness from
 // the experiment seed. That is the contract that lets the Runner execute
 // cells on any worker in any order while the assembled table stays
-// byte-identical to the serial path.
+// byte-identical for every worker count.
 type cell func() cellOut
 
 // spec is an experiment decomposed for the sweep engine: the table shell
@@ -31,20 +31,8 @@ type spec struct {
 	cells []cell
 }
 
-// run executes the cells in order on the calling goroutine and assembles the
-// table — the serial reference path used by All, ByID, and the exported
-// per-experiment functions. Runner is the parallel equivalent; a golden test
-// holds the two byte-identical.
-func (s spec) run() Table {
-	t := s.shell
-	for _, c := range s.cells {
-		t.Rows = append(t.Rows, c().rows...)
-	}
-	return t
-}
-
 // registry is the single ordered source of truth for the experiment suite.
-// All, ByID, IDs, and the Runner all derive from it, so they cannot drift.
+// IDs and the Runner both derive from it, so they cannot drift.
 var registry = []struct {
 	id   string
 	spec func(Options) spec
@@ -74,27 +62,9 @@ func IDs() []string {
 	return out
 }
 
-// All runs every experiment in order, serially.
-func All(opts Options) []Table {
-	out := make([]Table, len(registry))
-	for i, e := range registry {
-		out[i] = e.spec(opts).run()
-	}
-	return out
-}
-
-// ByID runs the experiment with the given ID (case-insensitive, "e1".."e9").
-func ByID(id string, opts Options) (Table, bool) {
-	for _, e := range registry {
-		if strings.EqualFold(e.id, id) {
-			return e.spec(opts).run(), true
-		}
-	}
-	return Table{}, false
-}
-
-// specsFor resolves experiment IDs to specs in the given order; nil or empty
-// ids selects the whole suite. Unknown IDs error with the valid list.
+// specsFor resolves experiment IDs (case-insensitive, "e1".."e14") to specs
+// in the given order; nil or empty ids selects the whole suite. Unknown IDs
+// error with the valid list.
 func specsFor(ids []string, opts Options) ([]spec, error) {
 	if len(ids) == 0 {
 		ids = IDs()

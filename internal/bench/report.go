@@ -71,19 +71,17 @@ type ScalingPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// NewReport assembles a Report from a Runner's results and the measured wall
-// time of the run. repeat is the Runner.Repeat the results were timed with
-// (values <= 1 normalize to 1).
-func NewReport(opts Options, parallel, repeat int, results []Result, wall time.Duration) *Report {
-	if repeat < 1 {
-		repeat = 1
-	}
+// NewReport assembles a Report from the results run produced and the
+// measured wall time of that run. It records the worker count and repeat
+// count run actually used, not the raw field values (Parallel <= 0 means
+// GOMAXPROCS, Repeat <= 1 means once).
+func NewReport(run Runner, results []Result, wall time.Duration) *Report {
 	r := &Report{
 		Schema:     "repro-bench/6",
-		Seed:       opts.seed(),
-		Quick:      opts.Quick,
-		Parallel:   parallel,
-		Repeat:     repeat,
+		Seed:       run.Opts.seed(),
+		Quick:      run.Opts.Quick,
+		Parallel:   run.workers(),
+		Repeat:     run.repeats(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		WallMS:     ms(wall),
 	}

@@ -1,9 +1,73 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// quick holds the serial quick suite, computed once per test binary run:
+// every check that reads the quick tables shares it, and the Runner variants
+// (parallel, repeated) are compared against it.
+var quick struct {
+	once    sync.Once
+	results []Result
+	err     error
+}
+
+// quickSuite returns the full quick suite as Runner{Parallel: 1} produces
+// it. Callers must not modify the returned results.
+func quickSuite(t *testing.T) []Result {
+	t.Helper()
+	quick.once.Do(func() {
+		quick.results, quick.err = Runner{Opts: Options{Quick: true}, Parallel: 1}.Run(nil)
+	})
+	if quick.err != nil {
+		t.Fatal(quick.err)
+	}
+	return quick.results
+}
+
+// quickResults returns the named experiments' results from the shared quick
+// suite, in the given order.
+func quickResults(t *testing.T, ids ...string) []Result {
+	t.Helper()
+	var out []Result
+	for _, id := range ids {
+		found := false
+		for _, r := range quickSuite(t) {
+			if r.Table.ID == id {
+				out = append(out, r)
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("experiment %s not in the quick suite", id)
+		}
+	}
+	return out
+}
+
+// quickTable returns one table of the shared quick suite.
+func quickTable(t *testing.T, id string) Table {
+	t.Helper()
+	return quickResults(t, id)[0].Table
+}
+
+// table returns experiment id's table at opts: from the shared suite when
+// opts.Quick, otherwise from its own serial run.
+func table(t *testing.T, opts Options, id string) Table {
+	t.Helper()
+	if opts.Quick {
+		return quickTable(t, id)
+	}
+	results, err := Runner{Opts: opts, Parallel: 1}.Run([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0].Table
+}
 
 // formatAll renders results the way cmd/bench prints them.
 func formatAll(results []Result) string {
@@ -18,32 +82,16 @@ func formatAll(results []Result) string {
 }
 
 // TestRunnerParallelMatchesSerial is the sweep engine's golden property: the
-// full thirteen-table suite under an 8-worker pool must be byte-identical to
-// the serial path (and to the legacy All entry point). Run under -race in CI,
-// this also shakes out any shared mutable state between cells.
+// full suite under an 8-worker pool must be byte-identical to the serial
+// run. Run under -race in CI, this also shakes out any shared mutable state
+// between cells.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
-	opts := Options{Quick: true}
-	serial, err := Runner{Opts: opts, Parallel: 1}.Run(nil)
+	parallel, err := Runner{Opts: Options{Quick: true}, Parallel: 8}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Runner{Opts: opts, Parallel: 8}.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sOut, pOut := formatAll(serial), formatAll(parallel)
-	if sOut != pOut {
+	if sOut, pOut := formatAll(quickSuite(t)), formatAll(parallel); sOut != pOut {
 		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", sOut, pOut)
-	}
-	var b strings.Builder
-	for i, tbl := range All(opts) {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(tbl.Format())
-	}
-	if b.String() != sOut {
-		t.Fatal("Runner serial output differs from All()")
 	}
 }
 
@@ -53,33 +101,21 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 // retransmission wrappers, and none of that state may leak across workers.
 func TestRunnerParallelMatchesSerialAdversary(t *testing.T) {
 	ids := []string{"E10", "E11", "E12"}
-	opts := Options{Quick: true}
-	serial, err := Runner{Opts: opts, Parallel: 1}.Run(ids)
+	parallel, err := Runner{Opts: Options{Quick: true}, Parallel: 8}.Run(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Runner{Opts: opts, Parallel: 8}.Run(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sOut, pOut := formatAll(serial), formatAll(parallel); sOut != pOut {
+	if sOut, pOut := formatAll(quickResults(t, ids...)), formatAll(parallel); sOut != pOut {
 		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", sOut, pOut)
 	}
 }
 
 // TestRunnerPerfAccounting: cells and steps must be populated — the
-// JSON report depends on them.
+// JSON report depends on them. E4 runs no kernel, so only its steps are 0.
 func TestRunnerPerfAccounting(t *testing.T) {
-	results, err := Runner{Opts: Options{Quick: true}, Parallel: 4}.Run([]string{"e1", "E9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Table.ID != "E1" || results[1].Table.ID != "E9" {
-		t.Fatalf("unexpected results: %+v", results)
-	}
-	for _, r := range results {
-		if r.Cells == 0 || r.Steps == 0 {
-			t.Errorf("%s: cells=%d steps=%d, want both > 0", r.Table.ID, r.Cells, r.Steps)
+	for _, r := range quickSuite(t) {
+		if r.Cells == 0 || (r.Steps == 0) != (r.Table.ID == "E4") {
+			t.Errorf("%s: cells=%d steps=%d, want cells > 0 and steps > 0 (0 for E4)", r.Table.ID, r.Cells, r.Steps)
 		}
 		if len(r.Table.Rows) == 0 {
 			t.Errorf("%s: no rows", r.Table.ID)
@@ -92,22 +128,21 @@ func TestRunnerPerfAccounting(t *testing.T) {
 // report must carry the repeat count under the bumped schema.
 func TestRunnerRepeatIdenticalRows(t *testing.T) {
 	opts := Options{Quick: true}
-	once, err := Runner{Opts: opts, Parallel: 2}.Run([]string{"E1", "E11"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	thrice, err := Runner{Opts: opts, Parallel: 2, Repeat: 3}.Run([]string{"E1", "E11"})
+	ids := []string{"E1", "E11"}
+	once := quickResults(t, ids...)
+	thriceRun := Runner{Opts: opts, Parallel: 2, Repeat: 3}
+	thrice, err := thriceRun.Run(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := formatAll(once), formatAll(thrice); a != b {
 		t.Fatalf("repeat changed the tables:\n--- once ---\n%s\n--- median-of-3 ---\n%s", a, b)
 	}
-	rep := NewReport(opts, 2, 3, thrice, 0)
+	rep := NewReport(thriceRun, thrice, 0)
 	if rep.Schema != "repro-bench/6" || rep.Repeat != 3 {
 		t.Errorf("report schema/repeat = %q/%d, want repro-bench/6 and 3", rep.Schema, rep.Repeat)
 	}
-	if rep := NewReport(opts, 2, 0, once, 0); rep.Repeat != 1 {
+	if rep := NewReport(Runner{Opts: opts, Parallel: 2}, once, 0); rep.Repeat != 1 {
 		t.Errorf("repeat <= 1 must normalize to 1, got %d", rep.Repeat)
 	}
 	// The spread column: repeated runs must carry a non-negative spread per
@@ -117,10 +152,24 @@ func TestRunnerRepeatIdenticalRows(t *testing.T) {
 			t.Errorf("experiment %s: negative spread %v", er.ID, er.SpreadMS)
 		}
 	}
-	for _, er := range NewReport(opts, 2, 1, once, 0).Experiments {
+	for _, er := range NewReport(Runner{Opts: opts, Parallel: 2, Repeat: 1}, once, 0).Experiments {
 		if er.SpreadMS != 0 {
 			t.Errorf("experiment %s: single-shot run has spread %v, want 0", er.ID, er.SpreadMS)
 		}
+	}
+}
+
+// TestReportRecordsEffectiveWorkers: the report records the worker count the
+// run actually used, so Parallel <= 0 reads as GOMAXPROCS, not as the raw
+// field value.
+func TestReportRecordsEffectiveWorkers(t *testing.T) {
+	for _, parallel := range []int{0, -3} {
+		if got := NewReport(Runner{Parallel: parallel}, nil, 0).Parallel; got != runtime.GOMAXPROCS(0) {
+			t.Errorf("Parallel: %d reported as %d, want GOMAXPROCS = %d", parallel, got, runtime.GOMAXPROCS(0))
+		}
+	}
+	if got := NewReport(Runner{Parallel: 3}, nil, 0).Parallel; got != 3 {
+		t.Errorf("Parallel: 3 reported as %d", got)
 	}
 }
 
@@ -138,28 +187,20 @@ func TestRunnerUnknownID(t *testing.T) {
 	}
 }
 
-// TestRegistryCoherence: All, ByID, and IDs must agree — they all derive
-// from the single registry.
+// TestRegistryCoherence: IDs and the suite a Runner produces must agree —
+// both derive from the single registry.
 func TestRegistryCoherence(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 14 {
 		t.Fatalf("IDs() = %v", ids)
 	}
-	tables := All(Options{Quick: true})
-	if len(tables) != len(ids) {
-		t.Fatalf("All returned %d tables for %d IDs", len(tables), len(ids))
+	results := quickSuite(t)
+	if len(results) != len(ids) {
+		t.Fatalf("the suite returned %d tables for %d IDs", len(results), len(ids))
 	}
 	for i, id := range ids {
-		if tables[i].ID != id {
-			t.Errorf("All()[%d].ID = %s, want %s", i, tables[i].ID, id)
-		}
-		tbl, ok := ByID(strings.ToLower(id), Options{Quick: true})
-		if !ok {
-			t.Errorf("ByID(%q) not found", id)
-			continue
-		}
-		if tbl.ID != id {
-			t.Errorf("ByID(%q).ID = %s", id, tbl.ID)
+		if results[i].Table.ID != id {
+			t.Errorf("suite[%d].ID = %s, want %s", i, results[i].Table.ID, id)
 		}
 	}
 }

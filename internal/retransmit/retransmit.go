@@ -162,8 +162,7 @@ func (o Options) withDefaults() Options {
 	} else if o.MaxRTO < o.RTO {
 		// An EXPLICIT cap below the initial timeout is a configuration the
 		// caller chose — honor the cap by clamping the initial timeout down
-		// to it. (An earlier revision silently replaced such a cap with
-		// max(48, RTO), turning e.g. RTO=100/MaxRTO=50 into a 100-tick cap.)
+		// to it.
 		o.RTO = o.MaxRTO
 	}
 	return o

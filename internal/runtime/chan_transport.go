@@ -10,10 +10,9 @@ import (
 )
 
 // ChanNetwork is the in-process fabric: n ChanTransport endpoints joined by
-// buffered channels. It is the reference Transport implementation — the
-// goroutine/channel plumbing that used to be hardwired into the Cluster —
-// and the fastest one, since frames move by pointer-free channel send with
-// no encoding.
+// buffered channels. It is the reference Transport implementation and the
+// fastest one, since frames move by pointer-free channel send with no
+// encoding.
 type ChanNetwork struct {
 	n         int
 	inboxSize int

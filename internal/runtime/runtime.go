@@ -21,8 +21,8 @@
 //     local operations, frame reception — written against Transport only,
 //     so the SAME automaton binary runs over any wire.
 //
-//   - Cluster (this file): n Procs over a ChanNetwork, preserving the
-//     historical in-process API.
+//   - Cluster (this file): n Procs over a ChanNetwork, the in-process
+//     deployment.
 //
 // Conformance: a Proc can record its run into a trace.StepLog; Replay
 // (replay.go) re-executes the log through the deterministic step discipline

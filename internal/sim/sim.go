@@ -60,18 +60,10 @@ type Options struct {
 	// Network is a FACTORY for the link-behavior engine: each kernel calls
 	// it once at construction to obtain its own fresh NetworkModel, then
 	// seeds that instance with Network().Reset(Seed). Nil selects
-	// NewUniform(MinDelay, MaxDelay) — the kernel's historical behavior,
-	// bit-for-bit. Because every kernel gets a private instance, one Options
-	// value can be shared freely across sequential AND concurrent kernels;
-	// the old aliasing hazard (two interleaved kernels re-seeding one shared
-	// stateful model) is gone by construction.
-	//
-	// Migrating from the pre-factory API (Network NetworkModel): wrap the
-	// model construction in a closure —
-	//
-	//	Options{Network: func() NetworkModel { return NewPartitioned(2, 500, 2000) }}
-	//
-	// or use PresetFactory("partition") for a named environment.
+	// NewUniform(MinDelay, MaxDelay); PresetFactory names the other
+	// environments. Because every kernel gets a private instance, one
+	// Options value can be shared freely across sequential AND concurrent
+	// kernels: no two kernels ever re-seed one stateful model.
 	Network NetworkFactory
 	// Faults optionally generalizes the run's failure pattern to up/down
 	// intervals (churn): when non-nil, it — not the FailurePattern passed to
