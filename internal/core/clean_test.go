@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/etob"
 	"repro/internal/model"
 	"repro/internal/retransmit"
 )
@@ -33,8 +34,10 @@ func cleanStackRun(seed int64, writes int) (*SimService, bool, int64) {
 // costs when nothing is lost. The uniform network's round trip (20–40 time
 // units) exceeds the fixed 3-tick initial timeout (15), so without a measured
 // per-link timeout every first transmission was resent while its ack was in
-// flight (~6 resends and ~25 kernel messages per write); and every per-tick
-// promote kept being resent after a newer one had superseded it.
+// flight (~6 resends and ~25 kernel messages per write); every per-tick
+// promote kept being resent after a newer one had superseded it; and a leader
+// that promoted on every tick, changed or not, cost ~13.6 messages per write
+// (10.0 since it promotes only on a change or a keepalive).
 func TestCleanNetworkRetransmitCost(t *testing.T) {
 	const writes = 300
 	svc, ok, resends := cleanStackRun(1, writes)
@@ -44,8 +47,8 @@ func TestCleanNetworkRetransmitCost(t *testing.T) {
 	if per := float64(resends) / writes; per >= 0.5 {
 		t.Errorf("resends per write = %.2f, want < 0.5 on a loss-free network", per)
 	}
-	if per := float64(svc.Kernel().MessagesSent()) / writes; per >= 17 {
-		t.Errorf("kernel messages per write = %.2f, want < 17", per)
+	if per := float64(svc.Kernel().MessagesSent()) / writes; per >= 11 {
+		t.Errorf("kernel messages per write = %.2f, want < 11", per)
 	}
 	if rep := svc.Report(); !rep.StrongTOB() {
 		t.Errorf("stable-leader run is not TOB: %+v", rep)
@@ -56,15 +59,32 @@ func TestCleanNetworkRetransmitCost(t *testing.T) {
 			t.Errorf("replica %v snapshot differs from replica 1:\n%s\nvs\n%s", p, got, ref)
 		}
 	}
+
+	// An idle stretch: with nothing new to order, the leader p1 sends only
+	// its keepalive, one promote per peer every 8 ticks (etob's
+	// promoteKeepalive), plus at most one for a change still in flight.
+	const idleTicks, keepalive, tick = 400, 8, 5
+	before := leaderPromotes(svc)
+	svc.Run(svc.Kernel().Now() + idleTicks*tick)
+	if sent, most := leaderPromotes(svc)-before, int64((idleTicks+keepalive-1)/keepalive+1); sent > most {
+		t.Errorf("leader sent %d promotes per peer over %d idle ticks, want at most %d", sent, idleTicks, most)
+	}
+}
+
+// leaderPromotes is how many promotes the leader p1 has broadcast: each is
+// one envelope per peer.
+func leaderPromotes(svc *SimService) int64 {
+	return UnwrapReplica(svc.Kernel().Automaton(1)).Inner().(*etob.Automaton).PromotesSent()
 }
 
 // BenchmarkReplicaStackClean reports the clean-network message cost per
-// write (msgs/op, resends/op) next to its wall time, so a return of
-// spurious resends shows in benchmark logs.
+// write (msgs/op, resends/op, and the leader's promote broadcasts,
+// promotes/op) next to its wall time, so a return of spurious resends or of
+// per-tick promotes shows in benchmark logs.
 func BenchmarkReplicaStackClean(b *testing.B) {
 	const writes = 300
 	b.ReportAllocs()
-	var msgs, resends int64
+	var msgs, resends, promotes int64
 	for i := 0; i < b.N; i++ {
 		svc, ok, r := cleanStackRun(1, writes)
 		if !ok {
@@ -72,8 +92,10 @@ func BenchmarkReplicaStackClean(b *testing.B) {
 		}
 		msgs += svc.Kernel().MessagesSent()
 		resends += r
+		promotes += leaderPromotes(svc)
 	}
 	ops := float64(b.N * writes)
 	b.ReportMetric(float64(msgs)/ops, "msgs/op")
 	b.ReportMetric(float64(resends)/ops, "resends/op")
+	b.ReportMetric(float64(promotes)/ops, "promotes/op")
 }

@@ -60,6 +60,11 @@ func CollectStackMetrics(reg *obs.Registry, a model.Automaton) {
 		undelivered = u.Undelivered()
 	}
 	reg.Gauge(obs.MetricEtobUndelivered).Set(int64(undelivered))
+	var promotes int64
+	if e, ok := inner.(interface{ PromotesSent() int64 }); ok && inner != nil {
+		promotes = e.PromotesSent()
+	}
+	reg.Counter(obs.MetricEtobPromotesSent).Set(promotes)
 }
 
 // RegisterSimMetrics exposes a simulated replica's stack counters plus the

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/etob"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/retransmit"
@@ -84,6 +85,10 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		t.Fatalf("stack root is %T, want *retransmit.Automaton", a)
 	}
 	rep := UnwrapReplica(a)
+	e, ok := rep.Inner().(*etob.Automaton)
+	if !ok {
+		t.Fatalf("replica wraps %T, want *etob.Automaton", rep.Inner())
+	}
 	checks := []struct {
 		name string
 		want int64
@@ -96,6 +101,7 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		{obs.MetricRetransmitRTO, int64(w.LearnedRTO())},
 		{obs.MetricSMRApplied, int64(rep.AppliedCount())},
 		{obs.MetricSMRRebuilds, int64(rep.Rebuilds())},
+		{obs.MetricEtobPromotesSent, e.PromotesSent()},
 		{obs.MetricKernelSteps, svc.Kernel().Steps()},
 		{obs.MetricKernelSent, svc.Kernel().MessagesSent()},
 		{obs.MetricKernelLost, svc.Kernel().MessagesLost()},
@@ -111,7 +117,10 @@ func TestRegisterSimMetricsMatchesStack(t *testing.T) {
 		t.Error("lossy run produced no resends; parity check is vacuous")
 	}
 	if reg.Value(obs.MetricRetransmitSuperseded) == 0 {
-		t.Error("leader's per-tick promotes superseded nothing; parity check is vacuous")
+		t.Error("leader's promotes superseded nothing; parity check is vacuous")
+	}
+	if reg.Value(obs.MetricEtobPromotesSent) == 0 {
+		t.Error("leader p1 sent no promotes; parity check is vacuous")
 	}
 	if rto := reg.Value(obs.MetricRetransmitRTO); rto < 3 || rto > 48 {
 		t.Errorf("retransmit_rto_ticks = %d, want within the default [RTO, MaxRTO] = [3, 48]", rto)

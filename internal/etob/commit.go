@@ -44,6 +44,7 @@ type CommitAutomaton struct {
 	ackedLen  map[model.ProcID]int          // per acker: max acked length...
 	ackedFor  map[model.ProcID]model.ProcID // ...and for which leader
 	committed int                           // length of the last indicated prefix
+	dFrom     model.ProcID                  // the leader whose promote d_i was last adopted from
 }
 
 var _ model.Automaton = (*CommitAutomaton)(nil)
@@ -78,6 +79,7 @@ func (a *CommitAutomaton) Recv(ctx model.Context, from model.ProcID, payload any
 	if m, ok := payload.(PromoteMsg); ok && a.lastCtr[from] > beforeCtr {
 		// Adopted a fresh promote from the leader we trust: acknowledge to
 		// everyone, including ourselves.
+		a.dFrom = from
 		ctx.Broadcast(AckMsg{Leader: from, Counter: m.Counter, Len: len(m.Seq)})
 	}
 }
@@ -86,7 +88,10 @@ func (a *CommitAutomaton) Recv(ctx model.Context, from model.ProcID, payload any
 // majority under the leader we currently trust.
 func (a *CommitAutomaton) maybeCommit(ctx model.Context) {
 	leader, ok := fd.LeaderOf(ctx.FD())
-	if !ok {
+	if !ok || a.dFrom != leader {
+		// Acks for leader's promote_i vouch for prefixes of leader's
+		// sequence, and d_i is one only once it was adopted from leader: a
+		// majority can ack a new leader's promote before it reaches us.
 		return
 	}
 	// Candidate lengths: sort acked lengths of processes acking our leader.

@@ -12,6 +12,18 @@
 //	On local timeout:
 //	    if Ω_i = p_i then send promote(promote_i) to all
 //
+// This package's leader sends that promote only when it has news: when
+// promote_i grew since its last promote, when Ω_i was not p_i at its
+// previous timeout, or when promoteKeepalive timeouts have passed since its
+// last promote (see Tick). Lemma 3 needs only that the leader's latest
+// promote_i eventually reaches every correct process after τ, and that a
+// receiver then trusts the leader. Over reliable links (the paper's model,
+// or internal/retransmit over lossy ones), the send on each change delivers
+// each promote_i; the keepalive covers a process whose Ω turns to the leader
+// after the last change, which drops promotes it received earlier. Over
+// lossy links without retransmission, the keepalive repeats the latest
+// promote_i forever, so each correct process receives it with probability 1.
+//
 // The three headline properties (Lemma 3 and §5 discussion), all exercised by
 // the experiments in internal/bench:
 //
@@ -64,6 +76,9 @@ type UpdateMsg struct {
 // resending an older promote once a newer one is on the link. A late copy of
 // an older promote that is already in flight can still arrive after a newer
 // one; the counter guard above drops it.
+//
+// Counter advances on every leader tick, sent or not (see Tick), so
+// consecutive promotes from one sender can skip values.
 type PromoteMsg struct {
 	Seq     []string
 	Counter int64
@@ -93,6 +108,14 @@ type Automaton struct {
 
 	promoteCtr int64                  // counter stamped on our promote messages
 	lastCtr    map[model.ProcID]int64 // highest promote counter adopted per sender
+
+	// Promote quiescence (see Tick): whether Ω_i = p_i at the previous
+	// tick, len(promote_i) in the last promote sent, leader ticks since that
+	// send, and how many promotes this process has broadcast.
+	wasLeader    bool
+	sentLen      int
+	sinceSent    int
+	promotesSent int64
 
 	// onFlush, when set, is called with the op ID each update(CG_i)
 	// broadcast carries. Observability tap — see SetFlushHook.
@@ -192,16 +215,51 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 	}
 }
 
-// Tick implements model.Automaton: the "local timeout" of Algorithm 5.
+// promoteKeepalive is how many leader ticks may pass without a promote: the
+// keepalive that reaches a process whose Ω turned to this leader after
+// promote_i last changed.
+const promoteKeepalive = 8
+
+// Tick implements model.Automaton: the "local timeout" of Algorithm 5. The
+// paper's leader sends promote(promote_i) on every timeout. This one sends
+// it only in three cases:
+//   - promote_i grew since its last promote (promote_i only grows, so its
+//     length tells);
+//   - it was not leader at its previous tick, its first tick included:
+//     meanwhile others may have trusted, and adopted the sequence of,
+//     another leader;
+//   - promoteKeepalive ticks have passed since its last promote: a process
+//     whose Ω turns to this leader after the last change ignored every
+//     promote sent before, and without retransmission a lost promote is
+//     otherwise never repeated.
+//
+// Each receiver thus gets the latest promote_i once it trusts the leader,
+// which is all Lemma 3 uses. The counter advances on every leader tick, sent
+// or not. A restarted leader starts from zero, and its followers drop its
+// promotes until the counter passes its old incarnation's; a per-tick counter
+// climbs past it at one per tick, so the stale-promote guard in Recv mutes it
+// no longer than when the leader sent on every tick. A counter advanced per
+// send would climb one per keepalive while idle.
 func (a *Automaton) Tick(ctx model.Context) {
 	leader, ok := fd.LeaderOf(ctx.FD())
 	if !ok || leader != a.self {
+		a.wasLeader = false
 		return
 	}
 	a.promoteCtr++
+	a.sinceSent++
 	n := len(a.promote)
+	if a.wasLeader && n == a.sentLen && a.sinceSent < promoteKeepalive {
+		return
+	}
+	a.wasLeader, a.sentLen, a.sinceSent = true, n, 0
+	a.promotesSent++
 	ctx.Broadcast(PromoteMsg{Seq: a.promote[:n:n], Counter: a.promoteCtr})
 }
+
+// PromotesSent returns how many promote(promote_i) broadcasts this process
+// has made.
+func (a *Automaton) PromotesSent() int64 { return a.promotesSent }
 
 // resolveDeps returns C(m) for a broadcast: the causal frontier for nil
 // deps, otherwise the explicit deps that CG_i holds (see Input).

@@ -3,11 +3,13 @@ package node_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -37,8 +39,32 @@ func newCluster(t *testing.T, n int) *cluster {
 // newClusterWith boots a cluster whose every node config first passes
 // through hook — the chaos tests use it to wire fault injectors and degraded
 // windows into otherwise-standard replicas.
+//
+// Each replica's transport port is reserved by listening on 127.0.0.1:0 and
+// closing the listener before the replica binds it, so another process (a
+// parallel test binary under `go test ./...`) can take a port in between.
+// Every replica's peer map names every port, so one lost port means a fresh
+// set of ports for all of them: the boot is retried from scratch, on new
+// ports and a new front door, when a bind fails with EADDRINUSE.
 func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
 	t.Helper()
+	const bootAttempts = 5
+	for attempt := 1; ; attempt++ {
+		c, err := bootCluster(n, hook)
+		if err == nil {
+			t.Cleanup(c.close)
+			return c
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == bootAttempts {
+			t.Fatalf("boot cluster (attempt %d): %v", attempt, err)
+		}
+		t.Logf("boot attempt %d: %v; retrying on fresh ports", attempt, err)
+	}
+}
+
+// bootCluster reserves n loopback ports and boots a front door and one
+// replica on each port. On error, whatever it started is stopped.
+func bootCluster(n int, hook func(*node.Config)) (*cluster, error) {
 	front, err := lb.New(lb.Config{
 		ProbeInterval: 50 * time.Millisecond,
 		// Generous probe timeout: under the race detector a loaded replica can
@@ -48,60 +74,75 @@ func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
 		FailThreshold: 2,
 	})
 	if err != nil {
-		t.Fatalf("front door: %v", err)
+		return nil, fmt.Errorf("front door: %w", err)
 	}
-	peers := make(map[model.ProcID]string, n)
+	c := &cluster{front: front, peers: make(map[model.ProcID]string, n), cfgHook: hook}
 	var reserved []net.Listener
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("reserve port: %v", err)
+			for _, ln := range reserved {
+				ln.Close()
+			}
+			front.Close()
+			return nil, fmt.Errorf("reserve port: %w", err)
 		}
-		peers[model.ProcID(i+1)] = ln.Addr().String()
+		c.peers[model.ProcID(i+1)] = ln.Addr().String()
 		reserved = append(reserved, ln)
 	}
 	for _, ln := range reserved {
 		ln.Close()
 	}
-	c := &cluster{front: front, peers: peers, cfgHook: hook}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, c.startNode(t, model.ProcID(i+1)))
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			if nd != nil {
-				nd.Kill()
-			}
+		nd, err := node.New(c.config(model.ProcID(i + 1)))
+		if err != nil {
+			c.close()
+			return nil, fmt.Errorf("start replica %d: %w", i+1, err)
 		}
-		front.Close()
-	})
-	return c
+		c.nodes = append(c.nodes, nd)
+	}
+	return c, nil
 }
 
-// startNode boots (or re-boots) replica p on its reserved transport address.
+// close stops every replica still in the cluster and the front door.
+func (c *cluster) close() {
+	for _, nd := range c.nodes {
+		if nd != nil {
+			nd.Kill()
+		}
+	}
+	c.front.Close()
+}
+
+// config is replica p's node configuration on its reserved port.
+func (c *cluster) config(p model.ProcID) node.Config {
+	cfg := node.Config{
+		ID:    p,
+		Peers: clonePeers(c.peers),
+		Front: c.front.URL(),
+		// Run the event loops at a 10ms cadence instead of the 2ms
+		// production default: a test boots up to two 3-replica clusters in
+		// one process, and under the race detector six 2ms loops saturate
+		// the scheduler and starve the HTTP handlers the front door probes.
+		Runtime: runtime.Options{
+			TickInterval:      10 * time.Millisecond,
+			HeartbeatInterval: 10 * time.Millisecond,
+		},
+	}
+	if c.cfgHook != nil {
+		c.cfgHook(&cfg)
+	}
+	return cfg
+}
+
+// startNode re-boots replica p on its reserved transport address, retrying
+// while the address is still held by its previous incarnation.
 func (c *cluster) startNode(t *testing.T, p model.ProcID) *node.Node {
 	t.Helper()
-	var nd *node.Node
 	var err error
 	for attempt := 0; attempt < 100; attempt++ {
-		cfg := node.Config{
-			ID:    p,
-			Peers: clonePeers(c.peers),
-			Front: c.front.URL(),
-			// Run the event loops at a 10ms cadence instead of the 2ms
-			// production default: a test boots up to two 3-replica clusters in
-			// one process, and under the race detector six 2ms loops saturate
-			// the scheduler and starve the HTTP handlers the front door probes.
-			Runtime: runtime.Options{
-				TickInterval:      10 * time.Millisecond,
-				HeartbeatInterval: 10 * time.Millisecond,
-			},
-		}
-		if c.cfgHook != nil {
-			c.cfgHook(&cfg)
-		}
-		nd, err = node.New(cfg)
-		if err == nil {
+		var nd *node.Node
+		if nd, err = node.New(c.config(p)); err == nil {
 			return nd
 		}
 		time.Sleep(20 * time.Millisecond)

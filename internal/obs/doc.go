@@ -30,7 +30,8 @@
 //	retransmit  retransmit_{resends,duplicates,abandoned}_total,
 //	            retransmit_{pending_envelopes,dedup_sparse,
 //	            dedup_streams}                               yes   yes
-//	etob        etob_undelivered_ops                         yes   yes
+//	etob        etob_undelivered_ops,
+//	            etob_promotes_sent_total                     yes   yes
 //	smr         smr_{applied,rebuilds}_total                 yes   yes
 //	kernel      kernel_steps_total, kernel_messages_*_total  yes   —
 //	transport   transport_*                                  —     yes

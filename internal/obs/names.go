@@ -31,6 +31,8 @@ const (
 	// Stack: ETOB delivery (internal/etob): ops whose dependencies have not
 	// yet all been delivered — the unresolved-dep stall depth.
 	MetricEtobUndelivered = "etob_undelivered_ops"
+	// promote(promote_i) broadcasts made while this replica was leader.
+	MetricEtobPromotesSent = "etob_promotes_sent_total"
 
 	// Stack: replicated state machine (internal/smr).
 	MetricSMRApplied  = "smr_applied_total"
@@ -82,6 +84,7 @@ func StackNames() []string {
 		MetricRetransmitSuperseded,
 		MetricRetransmitRTO,
 		MetricEtobUndelivered,
+		MetricEtobPromotesSent,
 		MetricSMRApplied,
 		MetricSMRRebuilds,
 	}
