@@ -58,6 +58,18 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 	}
 	waitConverged(t, c.nodes, ops, want, 20*time.Second)
 
+	// Frames prove liveness, so a busy link carries no heartbeat; but once
+	// the cluster is idle, every link gets one within two beats.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, nd := range c.nodes {
+		for scrapeMetrics(t, nd.URL())[obs.MetricOmegaHeartbeats] == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %v omega_heartbeats_sent_total still 0 on an idle cluster", nd.ID())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
 	var totalAccepted, totalSubmitTraces int64
 	for _, nd := range c.nodes {
 		vals := scrapeMetrics(t, nd.URL())
@@ -71,7 +83,7 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 		for _, name := range []string{
 			obs.MetricTransportFlushes, obs.MetricTransportInboxDrop, obs.MetricTransportBytesSent,
 			obs.MetricNodeAccepted, obs.MetricNodeDegraded,
-			obs.MetricOmegaFlaps, obs.MetricOmegaLeader,
+			obs.MetricOmegaFlaps, obs.MetricOmegaLeader, obs.MetricOmegaHeartbeats,
 		} {
 			if _, ok := vals[name]; !ok {
 				t.Errorf("node %v /metrics missing live metric %s", nd.ID(), name)
@@ -204,7 +216,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied,
 		obs.MetricTransportFlushes, obs.MetricRetransmitResends, obs.MetricRetransmitSuperseded,
-		obs.MetricTransportBytesSent,
+		obs.MetricTransportBytesSent, obs.MetricOmegaHeartbeats,
 	}
 	for i := 0; i < 5; i++ {
 		if err := c.update("mono", fmt.Sprintf("set m%d %d", i, i)); err != nil {

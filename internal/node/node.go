@@ -35,11 +35,11 @@
 //
 // # Degraded read-only mode
 //
-// A replica that has heard NO peer heartbeat for a leader-timeout span
-// (Config.DegradedAfter) is cut off from the mesh: its Ω output has
-// collapsed to itself, and a command accepted now cannot replicate anywhere
-// — if this replica then dies, "202 accepted" was a lie. Rather than fail
-// silently, the node degrades explicitly:
+// A replica that has heard NO frame from any peer (heartbeat or protocol)
+// for a leader-timeout span (Config.DegradedAfter) is cut off from the mesh:
+// its Ω output has collapsed to itself, and a command accepted now cannot
+// replicate anywhere — if this replica then dies, "202 accepted" was a lie.
+// Rather than fail silently, the node degrades explicitly:
 //
 //   - Writes are REFUSED with 503 and a Retry-After header. The front door
 //     treats that reply as "replica declining, not broken" and fails the
@@ -50,7 +50,7 @@
 //   - /healthz stays 200: a degraded replica is alive and useful for reads;
 //     eviction would throw that capacity away.
 //
-// Degradation is self-healing: the first peer heartbeat after the partition
+// Degradation is self-healing: the first peer frame after the partition
 // heals clears it. A boot grace period (Config.BootGrace) keeps a starting
 // replica out of degraded mode while the mesh dials in.
 //
@@ -135,9 +135,10 @@ type Config struct {
 	// seeded with this config — the live chaos injector. The handle is
 	// available via Fault() for scripting partitions and heals.
 	Fault *runtime.FaultConfig
-	// DegradedAfter is the peer-silence window after which the replica
-	// declares itself degraded (read-only). Default: the event loop's
-	// leader timeout.
+	// DegradedAfter is the peer-silence window (no frame of any kind from
+	// any peer) after which the replica declares itself degraded
+	// (read-only). Default: Runtime.LeaderTimeout, or
+	// runtime.DefaultLeaderTimeout when that is unset.
 	DegradedAfter time.Duration
 	// BootGrace suppresses degraded mode for this long after start, covering
 	// mesh dial-in. Default: 2×DegradedAfter.
@@ -206,18 +207,12 @@ func New(cfg Config) (*Node, error) {
 	}
 	opts := cfg.Runtime
 	opts.ClockEpoch = time.Unix(0, 0)
-	// Degraded window defaults track the event loop's own liveness horizon
-	// (mirroring runtime.Options defaults for unset fields).
-	hb := opts.HeartbeatInterval
-	if hb <= 0 {
-		hb = 2 * time.Millisecond
+	if opts.LeaderTimeout <= 0 {
+		opts.LeaderTimeout = runtime.DefaultLeaderTimeout
 	}
 	degradedAfter := cfg.DegradedAfter
 	if degradedAfter <= 0 {
 		degradedAfter = opts.LeaderTimeout
-		if degradedAfter <= 0 {
-			degradedAfter = 10 * hb
-		}
 	}
 	bootGrace := cfg.BootGrace
 	if bootGrace <= 0 {
@@ -311,6 +306,7 @@ func (n *Node) wireMetrics() {
 		return 0
 	})
 	reg.CounterFunc(obs.MetricOmegaFlaps, n.proc.LeaderFlaps)
+	reg.CounterFunc(obs.MetricOmegaHeartbeats, n.proc.HeartbeatsSent)
 	reg.GaugeFunc(obs.MetricOmegaLeader, func() int64 { return int64(n.proc.Leader()) })
 	reg.OnScrape(func() {
 		n.proc.Inspect(func(a model.Automaton) { core.CollectStackMetrics(reg, a) })
@@ -398,8 +394,8 @@ func (n *Node) Tracer() *obs.OpTracer { return n.tracer }
 func (n *Node) Fault() *runtime.FaultTransport { return n.fault }
 
 // Degraded reports whether this replica is currently cut off from its peer
-// mesh: past the boot grace, cluster size ≥ 2, and no peer heartbeat within
-// the degraded window. See the package comment for the semantics.
+// mesh: past the boot grace, cluster size ≥ 2, and no frame from any peer
+// within the degraded window. See the package comment for the semantics.
 func (n *Node) Degraded() bool {
 	if n.proc.N() < 2 {
 		return false

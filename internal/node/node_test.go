@@ -120,13 +120,14 @@ func (c *cluster) config(p model.ProcID) node.Config {
 		ID:    p,
 		Peers: clonePeers(c.peers),
 		Front: c.front.URL(),
-		// Run the event loops at a 10ms cadence instead of the 2ms
-		// production default: a test boots up to two 3-replica clusters in
-		// one process, and under the race detector six 2ms loops saturate
-		// the scheduler and starve the HTTP handlers the front door probes.
+		// Run the event loops at a 10ms tick and a 100ms leader timeout
+		// instead of the 2ms/20ms production defaults: a test boots up to
+		// two 3-replica clusters in one process, and under the race
+		// detector six 2ms loops saturate the scheduler and starve the HTTP
+		// handlers the front door probes.
 		Runtime: runtime.Options{
-			TickInterval:      10 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
+			TickInterval:  10 * time.Millisecond,
+			LeaderTimeout: 100 * time.Millisecond,
 		},
 	}
 	if c.cfgHook != nil {

@@ -60,8 +60,9 @@ const (
 	MetricHTTPLatency  = "http_request_duration_us"
 
 	// Heartbeat Ω (internal/runtime Proc).
-	MetricOmegaFlaps  = "omega_flaps_total"
-	MetricOmegaLeader = "omega_leader"
+	MetricOmegaFlaps      = "omega_flaps_total"
+	MetricOmegaLeader     = "omega_leader"
+	MetricOmegaHeartbeats = "omega_heartbeats_sent_total"
 
 	// Front door (internal/lb).
 	MetricLBFailovers     = "lb_failovers_total"

@@ -30,9 +30,11 @@ import (
 //
 // Scope: faults apply on the send side, self-frames excepted (a process's
 // frames to itself model local memory, as in the simulator). Heartbeat
-// frames are subject to drops, partitions, and resets like any other frame —
-// partitioning a replica away severs its Ω heartbeats too, which is exactly
-// what drives internal/node's degraded read-only mode.
+// frames are subject to drops, partitions, and resets like any other frame.
+// Since every received frame counts as liveness for the heartbeat Ω, a
+// partition must sever every frame across it, protocol frames included, to
+// cut a replica off — and this one does, which is exactly what drives
+// internal/node's degraded read-only mode.
 type FaultTransport struct {
 	inner Transport
 	cfg   FaultConfig

@@ -19,17 +19,22 @@ import (
 // The loop multiplexes four event sources, taking one atomic step at a time
 // (the step model of §2):
 //
-//   - frames from the transport (message receptions; Heartbeat frames are
-//     consumed by the loop itself to maintain the heartbeat Ω),
+//   - frames from the transport (message receptions; every frame from a peer
+//     refreshes that peer's liveness, and Heartbeat frames are consumed by
+//     the loop itself),
 //   - local operations (Submit inputs and Inspect calls),
 //   - the tick timer (λ-steps, the paper's local timeout),
-//   - the heartbeat timer (broadcasting this process's liveness).
+//   - the beat timer (heartbeats into silent links).
 //
 // The heartbeat Ω is the one failure detector actually IMPLEMENTED from
-// message passing: each process periodically sends Heartbeat to every peer
-// and trusts the smallest-ID process heard from within LeaderTimeout
-// (itself included). Under partial synchrony the timely processes stabilize
-// on one leader, which is how Ω is realized in practice.
+// message passing: each process trusts the smallest-ID process it has heard
+// from within LeaderTimeout (itself included). Any frame from a peer is
+// evidence that the peer is alive, so a protocol frame counts as much as a
+// Heartbeat. Beats run every LeaderTimeout/4, the first one tick after the
+// loop starts, and a peer gets a Heartbeat at a beat only if no frame went to
+// it since the previous beat: a live link is silent for at most two beats,
+// half a timeout. Under partial synchrony the timely processes stabilize on
+// one leader, which is how Ω is realized in practice.
 type Proc struct {
 	tr   Transport
 	opts Options
@@ -44,10 +49,12 @@ type Proc struct {
 
 	clockBase time.Time
 	msgSeq    atomic.Int64
-	lastBeat  []atomic.Int64 // index q-1: last heartbeat receipt from q, unix nanos
+	lastHeard []atomic.Int64 // index q-1: last frame received from q, unix nanos
 
-	prevLeader model.ProcID // event-loop-local: Ω output at the previous step
-	flaps      atomic.Int64 // Ω output changes observed across steps
+	sentSinceBeat []bool       // event-loop-local, index q-1: a frame went to q since the last beat
+	prevLeader    model.ProcID // event-loop-local: Ω output at the previous step
+	flaps         atomic.Int64 // Ω output changes observed across steps
+	heartbeats    atomic.Int64 // Heartbeat frames sent
 }
 
 type localOp struct {
@@ -71,7 +78,9 @@ func NewProc(tr Transport, factory model.AutomatonFactory, opts Options) *Proc {
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		clockBase: opts.ClockEpoch,
-		lastBeat:  make([]atomic.Int64, tr.N()),
+		lastHeard: make([]atomic.Int64, tr.N()),
+
+		sentSinceBeat: make([]bool, tr.N()),
 	}
 	if p.clockBase.IsZero() {
 		p.clockBase = time.Now()
@@ -142,20 +151,25 @@ func (p *Proc) Leader() model.ProcID {
 // protocol. Safe to read from any goroutine.
 func (p *Proc) LeaderFlaps() int64 { return p.flaps.Load() }
 
+// HeartbeatsSent returns how many Heartbeat frames this process has sent:
+// one per beat to each peer no other frame went to since the previous beat.
+// Safe to read from any goroutine.
+func (p *Proc) HeartbeatsSent() int64 { return p.heartbeats.Load() }
+
 // PeersHeard returns how many PEERS (self excluded) this process has received
-// a heartbeat from within the given window. It is the live connectivity
-// signal the service plane's degraded mode keys on: a replica that has heard
-// nobody for a leader-timeout span is cut off from the mesh — its Ω output
-// has collapsed to itself and nothing it accepts can replicate until the
-// partition heals.
+// a frame of any kind from within the given window. It is the live
+// connectivity signal the service plane's degraded mode keys on: a replica
+// that has heard nobody for a leader-timeout span is cut off from the mesh —
+// its Ω output has collapsed to itself and nothing it accepts can replicate
+// until the partition heals.
 func (p *Proc) PeersHeard(window time.Duration) int {
 	cutoff := time.Now().Add(-window).UnixNano()
 	heard := 0
-	for i := range p.lastBeat {
+	for i := range p.lastHeard {
 		if model.ProcID(i+1) == p.self {
 			continue
 		}
-		if p.lastBeat[i].Load() >= cutoff {
+		if p.lastHeard[i].Load() >= cutoff {
 			heard++
 		}
 	}
@@ -175,7 +189,11 @@ func (p *Proc) run() {
 	defer close(p.done)
 	ticker := time.NewTicker(p.opts.TickInterval)
 	defer ticker.Stop()
-	beats := time.NewTicker(p.opts.HeartbeatInterval)
+	// The first beat comes one tick in, so that the slower beat cadence does
+	// not delay Ω at boot; beats then run every LeaderTimeout/4. Not at once:
+	// peers booted just after this process are not listening yet, and a
+	// failed dial costs a wire transport its redial backoff.
+	beats := time.NewTicker(p.opts.TickInterval)
 	defer beats.Stop()
 
 	p.step(trace.StepInit, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Init(ctx) })
@@ -197,20 +215,29 @@ func (p *Proc) run() {
 		case <-ticker.C:
 			p.step(trace.StepTick, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Tick(ctx) })
 		case <-beats.C:
-			for _, q := range model.Procs(p.n) {
-				if q != p.self {
-					_ = p.tr.Send(Frame{From: p.self, To: q, Payload: Heartbeat{}})
-				}
-			}
+			p.beat()
+			beats.Reset(p.opts.LeaderTimeout / 4)
 		}
 	}
 }
 
-func (p *Proc) handle(f Frame) {
-	if _, ok := f.Payload.(Heartbeat); ok {
-		if f.From >= 1 && int(f.From) <= p.n {
-			p.lastBeat[f.From-1].Store(time.Now().UnixNano())
+// beat sends a Heartbeat to every peer that no frame went to since the
+// previous beat, and starts the next interval.
+func (p *Proc) beat() {
+	for i, sent := range p.sentSinceBeat {
+		if q := model.ProcID(i + 1); q != p.self && !sent {
+			_ = p.tr.Send(Frame{From: p.self, To: q, Payload: Heartbeat{}})
+			p.heartbeats.Add(1)
 		}
+		p.sentSinceBeat[i] = false
+	}
+}
+
+func (p *Proc) handle(f Frame) {
+	if f.From >= 1 && int(f.From) <= p.n {
+		p.lastHeard[f.From-1].Store(time.Now().UnixNano())
+	}
+	if _, ok := f.Payload.(Heartbeat); ok {
 		return
 	}
 	p.opts.Observer.OnDeliver(p.now(), sim.Message{
@@ -248,14 +275,14 @@ func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, h f
 }
 
 // leader is the heartbeat Ω: the smallest-ID process believed alive (itself,
-// or a peer heard from within LeaderTimeout).
+// or a peer any frame was received from within LeaderTimeout).
 func (p *Proc) leader() model.ProcID {
 	cutoff := time.Now().Add(-p.opts.LeaderTimeout).UnixNano()
 	for _, q := range model.Procs(p.n) {
 		if q == p.self {
 			return q
 		}
-		if p.lastBeat[q-1].Load() >= cutoff {
+		if p.lastHeard[q-1].Load() >= cutoff {
 			return q
 		}
 	}
@@ -264,8 +291,12 @@ func (p *Proc) leader() model.ProcID {
 
 // sendProto transmits one protocol message: stamp a per-process message ID
 // (unique across the cluster by construction), notify the observer, and hand
-// the frame to the transport.
+// the frame to the transport. The frame stands in for the link's next
+// Heartbeat.
 func (p *Proc) sendProto(to model.ProcID, payload any) {
+	if to >= 1 && int(to) <= p.n {
+		p.sentSinceBeat[to-1] = true
+	}
 	id := int64(p.self)<<40 | p.msgSeq.Add(1)
 	now := p.now()
 	p.opts.Observer.OnSend(now, sim.Message{ID: id, From: p.self, To: to, Payload: payload, SentAt: now})

@@ -3,9 +3,10 @@
 // ticks — the "real processes over a real network" realization of the
 // paper's model. It also provides the one failure detector that is actually
 // IMPLEMENTED from message passing rather than read from an oracle: a
-// heartbeat-based Ω (eventually-timely heartbeats elect the smallest-ID
-// live process), which is how Ω is realized in practice under partial
-// synchrony.
+// heartbeat-based Ω (a process trusts the smallest-ID process it has heard
+// any frame from within LeaderTimeout, and sends Heartbeat only into links
+// that would otherwise stay silent), which is how Ω is realized in practice
+// under partial synchrony.
 //
 // The package splits into three layers:
 //
@@ -42,14 +43,17 @@ import (
 	"repro/internal/trace"
 )
 
+// DefaultLeaderTimeout is Options.LeaderTimeout when it is left unset.
+const DefaultLeaderTimeout = 20 * time.Millisecond
+
 // Options configure a live process (and, via NewCluster, a live cluster).
 type Options struct {
 	// TickInterval is the λ-step period of every process. Default 2ms.
 	TickInterval time.Duration
-	// HeartbeatInterval is the Ω heartbeat period. Default 2ms.
-	HeartbeatInterval time.Duration
-	// LeaderTimeout is how long without a heartbeat before a process stops
-	// trusting a peer. Default 10×HeartbeatInterval.
+	// LeaderTimeout is how long without any frame from a peer before a
+	// process stops trusting it. Default DefaultLeaderTimeout. It also paces
+	// the heartbeats: a beat runs every LeaderTimeout/4, and sends Heartbeat
+	// to each peer no frame went to since the previous beat.
 	LeaderTimeout time.Duration
 	// Delay, if non-nil, returns the artificial link delay per message
 	// (ChanNetwork fabrics only; wire transports have real delays).
@@ -87,11 +91,8 @@ func (o Options) withDefaults() Options {
 	if o.TickInterval <= 0 {
 		o.TickInterval = 2 * time.Millisecond
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 2 * time.Millisecond
-	}
 	if o.LeaderTimeout <= 0 {
-		o.LeaderTimeout = 10 * o.HeartbeatInterval
+		o.LeaderTimeout = DefaultLeaderTimeout
 	}
 	if o.InboxSize <= 0 {
 		o.InboxSize = 8192
@@ -168,8 +169,9 @@ func (c *Cluster) Stop() {
 	for _, p := range c.procs {
 		p.Stop()
 	}
-	c.nw.Close()
+	// A loop still running may be sending; the network closes only after.
 	for _, p := range c.procs {
 		<-p.Done()
 	}
+	c.nw.Close()
 }

@@ -254,7 +254,7 @@ func TestTCPReconnectUnderMidFrameResets(t *testing.T) {
 		return a
 	}
 	wrapped := retransmit.Wrap(factory, retransmit.Options{Seed: 5})
-	opts := Options{TickInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond}
+	opts := Options{TickInterval: 2 * time.Millisecond}
 	proc1 := NewProc(tr1, wrapped, opts)
 	proc2 := NewProc(tr2, wrapped, opts)
 	defer func() {

@@ -5,8 +5,9 @@ import "repro/internal/model"
 // Frame is one wire-level envelope between processes: link addressing plus
 // an opaque protocol payload. Frames are what a Transport moves; the
 // protocol meaning of the payload belongs entirely to the automaton layer
-// (internal/etob, internal/retransmit envelopes, ...), except for Heartbeat,
-// which the Proc loop consumes itself to realize the heartbeat Ω.
+// (internal/etob, internal/retransmit envelopes, ...). The Proc loop reads
+// one thing off every frame it receives, whatever the payload: the sender is
+// alive, which is what the heartbeat Ω is built from.
 type Frame struct {
 	// From and To identify the link.
 	From, To model.ProcID
@@ -19,9 +20,12 @@ type Frame struct {
 	Payload any
 }
 
-// Heartbeat is the Ω heartbeat frame. It is exported (and gob-encodable) so
-// that wire transports can carry it between real processes; the Proc loop
-// intercepts it before the automaton ever sees it.
+// Heartbeat is the Ω heartbeat frame: a Proc sends one to a peer only at a
+// beat (every LeaderTimeout/4) with no other frame sent to that peer since
+// the previous beat, so a live link is silent for at most two beats, half a
+// timeout. It is exported (and gob-encodable) so that wire transports can
+// carry it between real processes; the Proc loop intercepts it before the
+// automaton ever sees it.
 type Heartbeat struct{}
 
 // Transport is one process's endpoint of the cluster fabric: it can address

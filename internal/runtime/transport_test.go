@@ -289,10 +289,10 @@ func TestChanInboxOverflowDropsAndCounts(t *testing.T) {
 func TestClusterSurfacesDrops(t *testing.T) {
 	obs := &dropRecorder{}
 	c := NewCluster(2, floodFactory(), Options{
-		InboxSize:         2,
-		Observer:          obs,
-		TickInterval:      time.Millisecond,
-		HeartbeatInterval: 50 * time.Millisecond,
+		InboxSize:     2,
+		Observer:      obs,
+		TickInterval:  time.Millisecond,
+		LeaderTimeout: 500 * time.Millisecond,
 	})
 	defer c.Stop()
 	waitUntil(t, 5*time.Second, func() bool { return c.Dropped() > 0 })

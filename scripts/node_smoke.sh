@@ -84,4 +84,17 @@ for i in 1 $((UPDATES / 2)) "$UPDATES"; do
   esac
 done
 
+# Ω: a clean cluster agrees on p1. Print the detector's counters alongside.
+metric() { awk -v m="$1" '$1 == m { print $2 }' <<<"$2"; }
+for i in 1 2 3; do
+  m=$(curl -sf "http://127.0.0.1:$((BASE_PORT + 10 + i))/metrics")
+  leader=$(metric omega_leader "$m")
+  echo "replica $i: omega_leader=${leader:-?}" \
+    "omega_flaps_total=$(metric omega_flaps_total "$m")" \
+    "omega_heartbeats_sent_total=$(metric omega_heartbeats_sent_total "$m")"
+  if [ "$leader" != 1 ]; then
+    echo "FAIL: replica $i trusts ${leader:-nothing}, want 1"; exit 1
+  fi
+done
+
 echo "OK: 3 replicas converged on ${UPDATES} updates through the front door"
