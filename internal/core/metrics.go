@@ -27,18 +27,17 @@ import (
 // parity set.
 func CollectStackMetrics(reg *obs.Registry, a model.Automaton) {
 	var (
-		resends, dupes, abandoned, superseded int64
-		pending, sparse, streams, rto         int
+		resends, dupes, abandoned     int64
+		pending, sparse, streams, rto int
 	)
 	if w, ok := a.(*retransmit.Automaton); ok {
-		resends, dupes, abandoned, superseded = w.Resends(), w.Duplicates(), w.Abandoned(), w.Superseded()
+		resends, dupes, abandoned = w.Resends(), w.Duplicates(), w.Abandoned()
 		pending, sparse, streams, rto = w.PendingEnvelopes(), w.DedupSparse(), w.DedupStreams(), w.LearnedRTO()
 		a = w.Inner()
 	}
 	reg.Counter(obs.MetricRetransmitResends).Set(resends)
 	reg.Counter(obs.MetricRetransmitDuplicates).Set(dupes)
 	reg.Counter(obs.MetricRetransmitAbandoned).Set(abandoned)
-	reg.Counter(obs.MetricRetransmitSuperseded).Set(superseded)
 	reg.Gauge(obs.MetricRetransmitPending).Set(int64(pending))
 	reg.Gauge(obs.MetricRetransmitSparse).Set(int64(sparse))
 	reg.Gauge(obs.MetricRetransmitStreams).Set(int64(streams))

@@ -17,12 +17,13 @@
 // previous timeout, or when promoteKeepalive timeouts have passed since its
 // last promote (see Tick). Lemma 3 needs only that the leader's latest
 // promote_i eventually reaches every correct process after τ, and that a
-// receiver then trusts the leader. Over reliable links (the paper's model,
-// or internal/retransmit over lossy ones), the send on each change delivers
-// each promote_i; the keepalive covers a process whose Ω turns to the leader
-// after the last change, which drops promotes it received earlier. Over
-// lossy links without retransmission, the keepalive repeats the latest
-// promote_i forever, so each correct process receives it with probability 1.
+// receiver then trusts the leader. Over reliable links (the paper's model),
+// the send on each change delivers each promote_i; the keepalive covers a
+// process whose Ω turns to the leader after the last change, which drops
+// promotes it received earlier. Over lossy links, the keepalive repeats the
+// latest promote_i forever, so each correct process receives it with
+// probability 1. That is why internal/retransmit sends promotes raw (see
+// PromoteMsg): it resends only updates, which nothing else repeats.
 //
 // The three headline properties (Lemma 3 and §5 discussion), all exercised by
 // the experiments in internal/bench:
@@ -70,12 +71,13 @@ type UpdateMsg struct {
 // and a receiver adopts it as d_i as is: it is read-only, shared with the
 // sender and with every other receiver.
 //
-// A promote supersedes its sender's previous one (retransmit.Superseding):
-// Algorithm 5 needs only the leader's latest promote_i to reach everyone
-// after τ, and it carries the whole sequence, so a retransmission layer stops
-// resending an older promote once a newer one is on the link. A late copy of
-// an older promote that is already in flight can still arrive after a newer
-// one; the counter guard above drops it.
+// A promote is repeated by its sender (retransmit.Repeated): Algorithm 5
+// needs only the leader's latest promote_i to reach everyone after τ, it
+// carries the whole sequence, and the leader sends it again within
+// promoteKeepalive ticks (see Tick). A retransmission layer therefore sends
+// promotes raw, with no envelope, ack or resend: a lost copy is replaced by
+// the next promote. A duplicate, or a late copy of an older promote, is
+// dropped by the counter guard above.
 //
 // Counter advances on every leader tick, sent or not (see Tick), so
 // consecutive promotes from one sender can skip values.
@@ -84,8 +86,8 @@ type PromoteMsg struct {
 	Counter int64
 }
 
-// SupersedesPrevious marks PromoteMsg as retransmit.Superseding.
-func (PromoteMsg) SupersedesPrevious() {}
+// RepeatedBySender marks PromoteMsg as retransmit.Repeated.
+func (PromoteMsg) RepeatedBySender() {}
 
 // Automaton is the per-process automaton of Algorithm 5.
 type Automaton struct {
@@ -230,8 +232,8 @@ const promoteKeepalive = 8
 //     another leader;
 //   - promoteKeepalive ticks have passed since its last promote: a process
 //     whose Ω turns to this leader after the last change ignored every
-//     promote sent before, and without retransmission a lost promote is
-//     otherwise never repeated.
+//     promote sent before, and a lost promote is otherwise never repeated
+//     (retransmission sends promotes raw, see PromoteMsg).
 //
 // Each receiver thus gets the latest promote_i once it trusts the leader,
 // which is all Lemma 3 uses. The counter advances on every leader tick, sent

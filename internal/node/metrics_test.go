@@ -215,7 +215,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	prev := map[string]int64{}
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied,
-		obs.MetricTransportFlushes, obs.MetricRetransmitResends, obs.MetricRetransmitSuperseded,
+		obs.MetricTransportFlushes, obs.MetricRetransmitResends,
 		obs.MetricTransportBytesSent, obs.MetricOmegaHeartbeats,
 	}
 	for i := 0; i < 5; i++ {

@@ -25,7 +25,6 @@ const (
 	MetricRetransmitPending    = "retransmit_pending_envelopes"
 	MetricRetransmitSparse     = "retransmit_dedup_sparse"
 	MetricRetransmitStreams    = "retransmit_dedup_streams"
-	MetricRetransmitSuperseded = "retransmit_superseded_total"
 	MetricRetransmitRTO        = "retransmit_rto_ticks" // largest learned per-link RTO
 
 	// Stack: ETOB delivery (internal/etob): ops whose dependencies have not
@@ -82,7 +81,6 @@ func StackNames() []string {
 		MetricRetransmitPending,
 		MetricRetransmitSparse,
 		MetricRetransmitStreams,
-		MetricRetransmitSuperseded,
 		MetricRetransmitRTO,
 		MetricEtobUndelivered,
 		MetricEtobPromotesSent,

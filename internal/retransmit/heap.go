@@ -19,8 +19,8 @@ package retransmit
 // which point the slot is released. The lingering key is bounded by one
 // backoff interval (≤ MaxRTO + jitter), so acked state drains on the same
 // timescale the old per-tick compaction achieved. Payload references are
-// released eagerly by the ack itself (see settle, which a superseding send
-// shares), so the lingering slot pins no protocol data.
+// released eagerly by the ack itself, so the lingering slot pins no
+// protocol data.
 //
 // Ordering: ord is the envelope's global send ordinal, unique per sender
 // incarnation, making (dueTick, ord) a total order. Resends within one tick

@@ -3,12 +3,13 @@
 // AutomatonFactory and returns one whose messages travel inside ack'd,
 // deduplicated envelopes with seeded exponential resend. Over a network that
 // drops each transmission with probability < 1 (internal/sim/adversary.Lossy),
-// every payload sent between correct processes is delivered to the inner
-// automaton EXACTLY once: resends continue until acknowledged (at-least-once),
-// and receiver-side dedup suppresses the duplicates (at-most-once). The loss
-// rate thereby becomes a sweepable performance parameter — it costs resends
-// and latency — instead of a broken model assumption; E11 in internal/bench
-// measures exactly that boundary.
+// every enveloped payload sent between correct processes is delivered to the
+// inner automaton EXACTLY once: resends continue until acknowledged
+// (at-least-once), and receiver-side dedup suppresses the duplicates
+// (at-most-once). Self-sends and Repeated payloads skip the envelope (see
+// the raw path below). The loss rate thereby becomes a sweepable performance
+// parameter — it costs resends and latency — instead of a broken model
+// assumption; E11 in internal/bench measures exactly that boundary.
 //
 // Dedup state is BOUNDED: because each sender incarnation numbers its
 // envelopes contiguously from 1 per directed link, the receiver compresses
@@ -46,15 +47,17 @@
 // loss and moves nothing, so loss recovery keeps the fixed schedule. A
 // restarted process (see below) starts with every link unmeasured.
 //
-// Supersession: a payload that implements Superseding replaces the sender's
-// previous still-pending superseding envelope on the same link — the
-// protocol promises that only the newest one matters (etob.PromoteMsg:
-// receivers drop older promote counters anyway). The replaced envelope is
-// settled exactly as an ack settles it, so it is never resent, Base moves
-// past it and receivers compact their watermark over it as they do after
-// abandonment. At most one superseding envelope per link is ever pending,
-// and the newest is resent until acknowledged or superseded in turn. Every
-// other payload keeps exactly-once delivery.
+// Raw path: two kinds of payload travel without an envelope, ack or resend
+// entry, because nothing can lose them or something else repeats them. A
+// process's message to itself is local memory: every network model keeps
+// self-links lossless, and the live runtime delivers self-sends from a
+// loop-local queue. A payload that implements Repeated is one its sender
+// sends again on its own (etob.PromoteMsg: the leader's keepalive repeats
+// its newest promote_i), so a lost copy is replaced by a later one, not by
+// a resend. Raw payloads are handed to the inner automaton as they arrive —
+// a duplicated copy arrives twice — so a Repeated payload must be safe to
+// receive more than once and out of order. Every other payload keeps
+// exactly-once delivery.
 //
 // Churn interplay: a process restarted by the kernel (sim.Options.Faults)
 // re-runs Init with fresh state, which gives the wrapper a new EPOCH (derived
@@ -110,12 +113,12 @@ type Ack struct {
 	Seq   int64
 }
 
-// Superseding marks a payload that makes the sender's previous superseding
-// payload to the same destination obsolete: sending it stops the resends of
-// the older one (see the package doc). Only a protocol that needs nothing
-// but the newest such payload to arrive may implement it.
-type Superseding interface {
-	SupersedesPrevious()
+// Repeated marks a payload whose sender sends its newest copy again on its
+// own, with no need for an ack: the layer sends it raw (see the package
+// doc). Only a protocol that tolerates the loss, duplication and reordering
+// of any single copy may implement it.
+type Repeated interface {
+	RepeatedBySender()
 }
 
 // Options tune the resend schedule.
@@ -170,9 +173,10 @@ func (o Options) withDefaults() Options {
 
 // Wrap returns a factory producing inner's automata inside the retransmission
 // layer. All processes of a run must be wrapped together (the wrapper speaks
-// Data/Ack on the wire); payloads that are not envelopes are handed to the
-// inner automaton unchanged, so wrapped and unwrapped processes can coexist
-// without retransmission protection between them.
+// Data/Ack on the wire, besides the raw self-sends and Repeated payloads);
+// payloads that are not envelopes are handed to the inner automaton
+// unchanged, so wrapped and unwrapped processes can coexist without
+// retransmission protection between them.
 func Wrap(inner model.AutomatonFactory, opts Options) model.AutomatonFactory {
 	opts = opts.withDefaults()
 	return func(p model.ProcID, n int) model.Automaton {
@@ -323,7 +327,6 @@ type Automaton struct {
 	epoch   int64
 	seqTo   []int64  // last seq sent per destination link (index to-1)
 	baseTo  []int64  // lowest possibly-unacked seq per link (advanced lazily)
-	supTo   []int64  // seq of the link's latest Superseding envelope (0: none)
 	rtt     []rttEst // per-link round-trip estimator
 	ticks   int64
 	rng     *rand.Rand
@@ -334,10 +337,9 @@ type Automaton struct {
 	seen    map[srcKey]*dedup // per (sender, epoch) watermark + sparse set
 	resends int64
 	dupes   int64 // duplicate envelopes suppressed by receiver-side dedup
-	supers  int64 // envelopes settled by a newer Superseding payload
 
 	// Give-up bookkeeping (Options.GiveUpTicks).
-	lastHeard []int64 // index q-1: tick of last Data/Ack from q, any epoch
+	lastHeard []int64 // index q-1: tick of last message from q, any epoch
 	cappedAt  int     // attempt count at which backoff reaches the MaxRTO cap
 	abandoned int64
 }
@@ -359,10 +361,6 @@ func (a *Automaton) Duplicates() int64 { return a.dupes }
 
 // PendingEnvelopes returns how many envelopes are still awaiting an ack.
 func (a *Automaton) PendingEnvelopes() int { return len(a.pending) }
-
-// Superseded returns how many pending envelopes a newer Superseding payload
-// on the same link replaced (cumulative across incarnations).
-func (a *Automaton) Superseded() int64 { return a.supers }
 
 // LearnedRTO returns the largest per-link learned timeout of the current
 // incarnation in ticks: Options.RTO until a link has a round-trip sample,
@@ -406,7 +404,6 @@ func (a *Automaton) Init(ctx model.Context) {
 	for i := range a.baseTo {
 		a.baseTo[i] = 1
 	}
-	a.supTo = make([]int64, a.n)
 	a.rtt = make([]rttEst, a.n)
 	a.ticks = 0
 	a.rng = rand.New(rand.NewSource(a.opts.Seed*1_000_003 + int64(a.self)*7919 + a.epoch))
@@ -451,7 +448,13 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 		if m.Epoch != a.epoch {
 			break
 		}
-		if pd := a.settle(pendKey{to: from, seq: m.Seq}); pd != nil {
+		key := pendKey{to: from, seq: m.Seq}
+		if slot, ok := a.pending[key]; ok {
+			// The slot stays queued until its due tick pops it; its
+			// payload is released now.
+			delete(a.pending, key)
+			pd := &a.heap.slots[slot]
+			pd.acked, pd.payload = true, nil
 			if pd.attempts == 0 {
 				a.rtt[from-1].sample(a.ticks-pd.sentAt, int64(a.opts.RTO), int64(a.opts.MaxRTO))
 			} else { // Karn's rule: the ack may answer any of the copies
@@ -459,7 +462,9 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 			}
 		}
 	default:
-		// Unwrapped payload (a peer outside the retransmission layer).
+		// A raw payload: a self-send, a Repeated payload, or one from a
+		// peer outside the retransmission layer.
+		a.heard(from)
 		a.inner.Recv(&wrapCtx{ctx: ctx, a: a}, from, payload)
 	}
 }
@@ -520,23 +525,8 @@ func (a *Automaton) resendDue(ctx model.Context) {
 	}
 }
 
-// settle removes the envelope key from the pending set, as an ack does, and
-// returns it (nil if it was not pending). The slot itself stays queued until
-// its due tick pops it; its payload is released now.
-func (a *Automaton) settle(key pendKey) *pending {
-	slot, ok := a.pending[key]
-	if !ok {
-		return nil
-	}
-	delete(a.pending, key)
-	pd := &a.heap.slots[slot]
-	pd.acked = true
-	pd.payload = nil
-	return pd
-}
-
-// heard records link liveness for the give-up bound: any Data or Ack from q —
-// stale epochs included — proves the process is back.
+// heard records link liveness for the give-up bound: any message from q —
+// Data or Ack of any epoch, or a raw payload — proves the process is back.
 func (a *Automaton) heard(from model.ProcID) {
 	if from >= 1 && int(from) <= a.n {
 		a.lastHeard[from-1] = a.ticks
@@ -578,19 +568,17 @@ func (a *Automaton) linkBase(to model.ProcID) int64 {
 	return b
 }
 
-// sendData wraps one inner-protocol payload and registers it for resend. The
-// sequence number is drawn from the destination link's own contiguous
-// counter (see pendKey). A Superseding payload first settles the link's
-// previous one, so the Base it carries already reaches past it.
+// sendData sends one inner-protocol payload: raw to itself or when the
+// payload is Repeated (see the package doc), otherwise wrapped and
+// registered for resend. The sequence number is drawn from the destination
+// link's own contiguous counter (see pendKey).
 func (a *Automaton) sendData(ctx model.Context, to model.ProcID, payload any) {
+	if to == a.self || isRepeated(payload) {
+		ctx.Send(to, payload)
+		return
+	}
 	a.seqTo[to-1]++
 	a.sent++
-	if _, ok := payload.(Superseding); ok {
-		if a.settle(pendKey{to: to, seq: a.supTo[to-1]}) != nil {
-			a.supers++
-		}
-		a.supTo[to-1] = a.seqTo[to-1]
-	}
 	slot := a.heap.alloc()
 	pd := &a.heap.slots[slot]
 	*pd = pending{to: to, seq: a.seqTo[to-1], ord: a.sent, sentAt: a.ticks, payload: payload}
@@ -598,6 +586,12 @@ func (a *Automaton) sendData(ctx model.Context, to model.ProcID, payload any) {
 	a.pending[pendKey{to: to, seq: pd.seq}] = slot
 	a.heap.push(due, pd.ord, slot)
 	ctx.Send(to, Data{Epoch: a.epoch, Seq: pd.seq, Base: a.linkBase(to), Payload: payload})
+}
+
+// isRepeated reports whether payload travels raw to every destination.
+func isRepeated(payload any) bool {
+	_, ok := payload.(Repeated)
+	return ok
 }
 
 // wrapCtx intercepts the inner automaton's sends; everything else passes
@@ -620,8 +614,15 @@ func (c *wrapCtx) Send(to model.ProcID, payload any) {
 }
 
 func (c *wrapCtx) Broadcast(payload any) {
-	// The paper's broadcast is n sends (including self); each gets its own
-	// envelope so acks and resends are per-recipient.
+	if isRepeated(payload) {
+		// Raw to all, self included: one broadcast, which the kernel can
+		// schedule as one event per delay instead of n sends.
+		c.ctx.Broadcast(payload)
+		return
+	}
+	// The paper's broadcast is n sends (including self); each peer copy of
+	// an enveloped payload gets its own envelope, so acks and resends are
+	// per-recipient.
 	for _, q := range model.Procs(c.a.n) {
 		c.a.sendData(c.ctx, q, payload)
 	}

@@ -223,6 +223,37 @@ func TestDedupBoundedAcrossReceiverRestart(t *testing.T) {
 	}
 }
 
+// tick is the kernel's default TickInterval in time units.
+const tick = 5
+
+// envelopeID identifies one envelope across its copies.
+type envelopeID struct {
+	from, to   model.ProcID
+	epoch, seq int64
+}
+
+// resendGaps records the largest gap between consecutive transmissions of
+// one envelope.
+type resendGaps struct {
+	sim.NopObserver
+	last    map[envelopeID]model.Time
+	max     model.Time
+	resends int
+}
+
+func (g *resendGaps) OnSend(t model.Time, m sim.Message) {
+	d, ok := m.Payload.(retransmit.Data)
+	if !ok {
+		return
+	}
+	id := envelopeID{from: m.From, to: m.To, epoch: d.Epoch, seq: d.Seq}
+	if prev, seen := g.last[id]; seen {
+		g.resends++
+		g.max = max(g.max, t-prev)
+	}
+	g.last[id] = t
+}
+
 // TestMaxRTOClampRespectsExplicitCap pins the Options fix: an explicitly
 // configured MaxRTO below RTO is the caller's cap and must bound every
 // resend interval (the old defaulting replaced it with max(48, RTO), so
@@ -231,8 +262,12 @@ func TestDedupBoundedAcrossReceiverRestart(t *testing.T) {
 // is resent within a handful of ticks; with the cap discarded it would sit
 // ~100 ticks. The cap also bounds each link's learned timeout: a round trip
 // longer than MaxRTO is learned as MaxRTO, and one shorter than RTO leaves
-// the timeout at RTO.
+// the timeout at RTO. Every gap between two transmissions of one envelope is
+// observed on the wire and must stay within MaxRTO plus the largest jitter.
 func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
+	// Ten payloads, so that some first copy is acked unresent and the second
+	// case's link gets a round-trip sample to clamp.
+	const payloads = 10
 	for _, tc := range []struct {
 		name     string
 		opts     retransmit.Options
@@ -246,6 +281,7 @@ func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counts := make(recvCount)
+			gaps := &resendGaps{last: map[envelopeID]model.Time{}}
 			fp := model.NewFailurePattern(2)
 			k := sim.New(fp, fd.NewOmegaStable(fp, 1),
 				retransmit.Wrap(counterFactory(counts), tc.opts),
@@ -255,7 +291,8 @@ func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
 						return &adversary.Lossy{Drop: 0.45, Min: tc.min, Max: tc.max}
 					},
 				})
-			for i := 0; i < 5; i++ {
+			k.SetObserver(gaps)
+			for i := 0; i < payloads; i++ {
 				k.ScheduleInput(1, model.Time(50+100*i), fmt.Sprintf("x%d", i))
 			}
 			k.RunUntil(20000, func(k *sim.Kernel) bool { // every envelope acked
@@ -270,7 +307,7 @@ func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
 			for _, p := range model.Procs(2) {
 				a := k.Automaton(p).(*retransmit.Automaton)
 				resends += a.Resends()
-				for i := 0; i < 5; i++ {
+				for i := 0; i < payloads; i++ {
 					if got := counts[p][fmt.Sprintf("x%d", i)]; got != 1 {
 						t.Errorf("%v received x%d %d times, want 1", p, i, got)
 					}
@@ -283,13 +320,16 @@ func TestMaxRTOClampRespectsExplicitCap(t *testing.T) {
 				t.Errorf("p1's learned RTO = %d ticks, want %d", got, tc.wantRTO)
 			}
 			// The schedule property itself: every inter-resend gap must
-			// respect the explicit cap (MaxRTO + jitter < RTO). With the old
-			// defaulting the first case's gap would be RTO·2^k up to 100+;
-			// with the clamp it is ≤ 9 + jitter(9) = 18. Convergence this
-			// fast with losses present is only possible under the clamped
-			// schedule.
-			if now := k.Now(); now > 2000 {
-				t.Errorf("last envelope acked at t=%d; with MaxRTO honored resends are tick-scale and settle is fast", now)
+			// respect the explicit cap, MaxRTO plus jitter in [0, RTO) with
+			// RTO clamped to MaxRTO. With the old defaulting the first
+			// case's gap would be RTO·2^k up to 100+ ticks; with the clamp
+			// it is at most 9 + 8 = 17.
+			capTicks := tc.opts.MaxRTO + min(tc.opts.RTO, tc.opts.MaxRTO) - 1
+			if gaps.resends == 0 {
+				t.Fatal("no resend observed on the wire")
+			}
+			if limit := model.Time(capTicks) * tick; gaps.max > limit {
+				t.Errorf("largest inter-resend gap %d time units (%d ticks), want ≤ %d ticks", gaps.max, gaps.max/tick, capTicks)
 			}
 		})
 	}

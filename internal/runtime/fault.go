@@ -22,9 +22,12 @@ import (
 // link, k) where k counts the protocol frames sent on that link through this
 // injector. Two injectors built from the same FaultConfig therefore produce
 // the IDENTICAL fate schedule for the identical per-link frame sequence (the
-// unit test pins this), so a chaos scenario is reproducible by seed alone:
+// unit tests pin this), so a chaos scenario is reproducible by seed alone:
 // what varies between live runs is wall-clock interleaving, never which
-// frames the injector chose to disrupt. Dynamic control-surface calls
+// frames the injector chose to disrupt. Heartbeats, whose number on a link
+// depends on wall-clock timing, are faulted from a stream of their own per
+// link (own index, own hash draws, own bursts and held frame), so they never
+// move a protocol frame's fate. Dynamic control-surface calls
 // (Partition, Heal, SetEnabled) are scripted by the harness at wall instants
 // and sit OUTSIDE the seeded schedule by design.
 //
@@ -96,12 +99,14 @@ type FaultConfig struct {
 
 type linkID struct{ from, to model.ProcID }
 
-// linkState is the per-directed-link schedule cursor.
+// linkState is the per-directed-link schedule cursor of protocol frames; its
+// beats field is the link's heartbeat stream.
 type linkState struct {
-	k         int64 // frames sent on this link through the injector
+	k         int64 // frames of this stream sent on the link through the injector
 	burstLeft int   // remaining frames of an open drop/reset burst
 	held      *Frame
 	heldDelay time.Duration
+	beats     *linkState
 }
 
 var _ Transport = (*FaultTransport)(nil)
@@ -324,10 +329,16 @@ func (t *FaultTransport) Send(f Frame) error {
 	id := linkID{f.From, f.To}
 	ls := t.links[id]
 	if ls == nil {
-		ls = &linkState{}
+		ls = &linkState{beats: &linkState{}}
 		t.links[id] = ls
 	}
 	k := ls.k
+	if _, beat := f.Payload.(Heartbeat); beat {
+		// The heartbeat stream draws at ^k < 0, disjoint from the protocol
+		// frames' k ≥ 0.
+		ls = ls.beats
+		k = ^ls.k
+	}
 	ls.k++
 	if ls.burstLeft > 0 {
 		ls.burstLeft--
@@ -357,7 +368,7 @@ func (t *FaultTransport) Send(f Frame) error {
 		t.pending.Add(1)
 		time.AfterFunc(maxDuration(fate.delay, time.Millisecond)*4, func() {
 			defer t.pending.Done()
-			t.flushHeld(id, &held)
+			t.flushHeld(ls, &held)
 		})
 		t.mu.Unlock()
 		return nil
@@ -386,13 +397,13 @@ func (t *FaultTransport) Send(f Frame) error {
 // flushHeld releases a reordered frame whose link went quiet before the next
 // frame could overtake it — held frames are delayed, never lost (a reorder
 // is not a drop).
-func (t *FaultTransport) flushHeld(id linkID, held *Frame) {
+func (t *FaultTransport) flushHeld(ls *linkState, held *Frame) {
 	t.mu.Lock()
-	if t.links[id] == nil || t.links[id].held != held {
+	if ls.held != held {
 		t.mu.Unlock()
 		return
 	}
-	t.links[id].held = nil
+	ls.held = nil
 	t.mu.Unlock()
 	_ = t.inner.Send(*held)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +319,56 @@ func TestFaultPresetVocabulary(t *testing.T) {
 	}
 	if _, ok := FaultPreset("no-such-preset", 1); ok {
 		t.Fatal("unknown preset resolved")
+	}
+}
+
+// TestFaultHeartbeatsDoNotMoveProtocolFates pins the other half of the
+// determinism contract: k counts protocol frames only. Two injectors with one
+// seed see the same 400 protocol frames on a link, one of them with
+// heartbeats interleaved (as wall-clock timing would put them), and must
+// give those protocol frames identical fates: the same frames dropped and the
+// same ones duplicated. A duplicate goes out a millisecond late, so the
+// frames that went out are compared as sorted IDs once both have flushed.
+// The heartbeats are still faulted.
+func TestFaultHeartbeatsDoNotMoveProtocolFates(t *testing.T) {
+	cfg := FaultConfig{Seed: 11, Drop: 0.2, Burst: 3, Duplicate: 0.1, ResetEvery: 25}
+	plainIn, beatIn := newRecordingTransport(1, 2), newRecordingTransport(1, 2)
+	plain, beaten := NewFaultTransport(plainIn, cfg), NewFaultTransport(beatIn, cfg)
+	beats := 0
+	for i := 0; i < 400; i++ {
+		f := Frame{From: 1, To: 2, ID: int64(i + 1), Payload: testPayload{K: i}}
+		_ = plain.Send(f)
+		for j := 0; j < i%4; j++ {
+			_ = beaten.Send(Frame{From: 1, To: 2, Payload: Heartbeat{}})
+			beats++
+		}
+		_ = beaten.Send(f)
+	}
+	plain.pending.Wait() // delayed duplicates
+	beaten.pending.Wait()
+	protocol := func(fs []Frame) []int64 {
+		var ids []int64
+		for _, f := range fs {
+			if _, beat := f.Payload.(Heartbeat); !beat {
+				ids = append(ids, f.ID)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	want, got := protocol(plainIn.sent()), protocol(beatIn.sent())
+	if len(want) == 400 {
+		t.Fatal("no protocol frame was dropped: the schedule exercised nothing")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("with heartbeats interleaved %d protocol frames went out, without %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sorted protocol frame %d out: ID %d with heartbeats interleaved, %d without", i, got[i], want[i])
+		}
+	}
+	if out := len(beatIn.sent()) - len(got); out >= beats {
+		t.Errorf("%d of %d heartbeats went out: heartbeats must stay subject to drops", out, beats)
 	}
 }

@@ -16,12 +16,16 @@ import (
 // transport-agnostic — the same loop drives an in-process replica over a
 // ChanTransport and a deployable node over a TCPTransport.
 //
-// The loop multiplexes four event sources, taking one atomic step at a time
+// The loop multiplexes five event sources, taking one atomic step at a time
 // (the step model of §2):
 //
 //   - frames from the transport (message receptions; every frame from a peer
 //     refreshes that peer's liveness, and Heartbeat frames are consumed by
 //     the loop itself),
+//   - the process's messages to itself, which never touch the transport:
+//     they wait in a loop-local FIFO, so a self-send is as lossless as the
+//     kernel's self-link (no inbox overflow can drop one), and the
+//     retransmission layer sends them raw,
 //   - local operations (Submit inputs and Inspect calls),
 //   - the tick timer (λ-steps, the paper's local timeout),
 //   - the beat timer (heartbeats into silent links).
@@ -52,6 +56,7 @@ type Proc struct {
 	lastHeard []atomic.Int64 // index q-1: last frame received from q, unix nanos
 
 	sentSinceBeat []bool       // event-loop-local, index q-1: a frame went to q since the last beat
+	selfQ         []Frame      // event-loop-local: self-sends not yet delivered, oldest first
 	prevLeader    model.ProcID // event-loop-local: Ω output at the previous step
 	flaps         atomic.Int64 // Ω output changes observed across steps
 	heartbeats    atomic.Int64 // Heartbeat frames sent
@@ -196,9 +201,15 @@ func (p *Proc) run() {
 	beats := time.NewTicker(p.opts.TickInterval)
 	defer beats.Stop()
 
+	ready := make(chan struct{})
+	close(ready)
 	p.step(trace.StepInit, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Init(ctx) })
 	inbox := p.tr.Recv()
 	for {
+		var self <-chan struct{} // ready while a self-send waits
+		if len(p.selfQ) > 0 {
+			self = ready
+		}
 		select {
 		case <-p.stop:
 			return
@@ -211,6 +222,10 @@ func (p *Proc) run() {
 			in := op.input
 			p.step(trace.StepInput, model.NoProc, nil, in, func(ctx *liveCtx) { p.auto.Input(ctx, in) })
 		case f := <-inbox:
+			p.handle(f)
+		case <-self:
+			f := p.selfQ[0]
+			p.selfQ = append(p.selfQ[:0], p.selfQ[1:]...)
 			p.handle(f)
 		case <-ticker.C:
 			p.step(trace.StepTick, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Tick(ctx) })
@@ -291,8 +306,8 @@ func (p *Proc) leader() model.ProcID {
 
 // sendProto transmits one protocol message: stamp a per-process message ID
 // (unique across the cluster by construction), notify the observer, and hand
-// the frame to the transport. The frame stands in for the link's next
-// Heartbeat.
+// the frame to the transport, or to the self-send FIFO when it is addressed
+// to this process. A peer frame stands in for the link's next Heartbeat.
 func (p *Proc) sendProto(to model.ProcID, payload any) {
 	if to >= 1 && int(to) <= p.n {
 		p.sentSinceBeat[to-1] = true
@@ -300,7 +315,12 @@ func (p *Proc) sendProto(to model.ProcID, payload any) {
 	id := int64(p.self)<<40 | p.msgSeq.Add(1)
 	now := p.now()
 	p.opts.Observer.OnSend(now, sim.Message{ID: id, From: p.self, To: to, Payload: payload, SentAt: now})
-	_ = p.tr.Send(Frame{From: p.self, To: to, ID: id, SentAt: now, Payload: payload})
+	f := Frame{From: p.self, To: to, ID: id, SentAt: now, Payload: payload}
+	if to == p.self {
+		p.selfQ = append(p.selfQ, f)
+		return
+	}
+	_ = p.tr.Send(f)
 }
 
 // liveCtx implements model.Context for one live step.

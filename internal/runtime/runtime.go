@@ -59,7 +59,8 @@ type Options struct {
 	// (ChanNetwork fabrics only; wire transports have real delays).
 	Delay func(from, to model.ProcID) time.Duration
 	// InboxSize is the per-process frame buffer. Default 8192. A full inbox
-	// DROPS incoming frames — counted on the transport (Transport.Dropped,
+	// DROPS incoming peer frames (a process's messages to itself never enter
+	// it; see Proc) — counted on the transport (Transport.Dropped,
 	// Cluster.Dropped) and surfaced to an Observer that implements
 	// DropObserver — instead of blocking the sender: a slow or wedged peer
 	// must not stall the whole replica mid-broadcast. Protocols that must

@@ -53,6 +53,10 @@ type Heartbeat struct{}
 //     restores the eventual-delivery assumption end-to-end, and a TCP
 //     reconnect is then just a long link delay.
 //
+// Every implementation loops a self-frame back into its inbox, where overflow
+// can drop it. A Proc never sends one: it delivers its messages to itself
+// from its own loop, so its self-link is lossless, as in the simulator.
+//
 // Send never blocks on a slow peer and is safe for concurrent use; errors are
 // reserved for structural failures (unknown peer, closed transport), not for
 // frame loss. Close releases the endpoint's resources; after Close, Recv's

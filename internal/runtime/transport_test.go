@@ -308,17 +308,30 @@ type dropRecorder struct {
 
 func (d *dropRecorder) OnDrop(from, to model.ProcID, payload any) { d.drops.Add(1) }
 
-// floodFactory broadcasts on every tick, overwhelming a tiny inbox.
+// floodFactory sends every peer a burst of frames on every tick,
+// overwhelming a tiny inbox.
 func floodFactory() model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton { return &flooder{} }
+	return func(p model.ProcID, n int) model.Automaton { return &flooder{self: p, n: n} }
 }
 
-type flooder struct{}
+// flooder's burst per peer per tick: more than a 2-frame inbox holds.
+const floodBurst = 8
+
+type flooder struct {
+	self model.ProcID
+	n    int
+}
 
 func (f *flooder) Init(model.Context)                    {}
 func (f *flooder) Recv(model.Context, model.ProcID, any) {}
 func (f *flooder) Input(model.Context, any)              {}
-func (f *flooder) Tick(ctx model.Context)                { ctx.Broadcast(testPayload{}) }
+func (f *flooder) Tick(ctx model.Context) {
+	for _, q := range model.Procs(f.n) {
+		for i := 0; q != f.self && i < floodBurst; i++ {
+			ctx.Send(q, testPayload{K: i})
+		}
+	}
+}
 
 func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()
