@@ -32,19 +32,21 @@ func e12Net(adversarial bool) sim.NetworkFactory {
 // §2 environments — every message arrives within the menu bound — so
 // convergence is always reached; the table measures how much of the
 // admissible envelope the greedy adversary actually costs versus i.i.d.
-// noise: later convergence, larger worst-case decision latency, larger
-// measured tau.
+// noise. On seeds 1–20 it costs worst-case decision latency on the broadcast
+// workload, but not reliably convergence time (the last note gives the
+// counts), so no test pins an adversarial-worse-than-i.i.d. ordering.
 func e12Spec(opts Options) spec {
 	s := spec{shell: Table{
 		ID:     "E12",
 		Title:  "Adversarial (divergence-maximizing) scheduler vs i.i.d. delays",
-		Claim:  "the scheduler is part of the environment: a greedy adversary inside the same delay bounds degrades convergence and worst-case latency versus i.i.d. noise, while EC still always converges (admissibility)",
+		Claim:  "the scheduler is part of the environment: inside the same delay bounds a greedy adversary raises the broadcast workload's worst-case decision latency above i.i.d. noise, but a protocol-blind one does not reliably delay convergence, while EC still always converges (admissibility)",
 		Header: []string{"workload", "scheduler", "converged", "converged at", "worst decision latency", "tau"},
 		Notes: []string{
 			"both schedulers draw delays in [1, 60] ticks; the adversary starves a rotating victim at the bound and spreads other arrivals greedily (adversary.AdversarialScheduler)",
 			"broadcast workload: E9's crash-free run (n=5, stable leader, alternating senders)",
 			"transform workload: E3's Alg1(EC->ETOB) over Alg4 (n=3, Omega stabilizes at 600); tau measured by the ETOB checker",
 			"the adversary is protocol-blind: when its victim rotation happens to spare the post-stabilization leader (as on the transform workload), i.i.d. noise can cost more — a reminder that the worst admissible schedule is protocol-aware",
+			"seeds 1-20, quick and full scale: the adversary's broadcast worst decision latency exceeds i.i.d.'s on 39 of 40 runs, its convergence time on 22 of 40, and its transform convergence on none",
 		},
 	}}
 	msgs := 6

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/etob"
@@ -36,9 +37,11 @@ func cleanStackRun(seed int64, writes int) (*SimService, bool, int64) {
 // per-link timeout every first transmission was resent while its ack was in
 // flight (~6 resends and ~25 kernel messages per write); a leader that
 // promoted on every tick, changed or not, cost ~13.6 messages per write
-// (10.0 once it promoted only on a change or a keepalive); and promotes and
+// (10.0 once it promoted only on a change or a keepalive); promotes and
 // self-sends that travelled in acked envelopes cost 10.0 (7.05 since both go
-// raw). TestCleanRunCostModel pins the per-kind counts.
+// raw); and a leader that promotes each change in the step it learns it,
+// not batched at its next tick, costs 7.27, at 0.72 promote broadcasts per
+// write against 0.64. TestCleanRunCostModel pins the per-kind counts.
 func TestCleanNetworkRetransmitCost(t *testing.T) {
 	const writes = 300
 	svc, ok, resends := cleanStackRun(1, writes)
@@ -78,14 +81,41 @@ func leaderPromotes(svc *SimService) int64 {
 	return UnwrapReplica(svc.Kernel().Automaton(1)).Inner().(*etob.Automaton).PromotesSent()
 }
 
+// visibleP50Ticks is the median, over a run's writes, of the time from a
+// write's broadcast until every replica's d_i holds it, in ticks. A write
+// that a reorder moved counts from its last placement.
+func visibleP50Ticks(svc *SimService) float64 {
+	const tick = 5 // sim.Options' default TickInterval
+	rec := svc.Recorder()
+	at := map[string]model.Time{}
+	for _, p := range model.Procs(svc.Kernel().N()) {
+		var prev []string
+		for _, pt := range rec.Seqs(p) {
+			for _, id := range pt.Seq[model.CommonPrefix(prev, pt.Seq):] {
+				at[id] = max(at[id], pt.T)
+			}
+			prev = pt.Seq
+		}
+	}
+	var lats []model.Time
+	for _, b := range rec.Broadcasts() {
+		lats = append(lats, at[b.ID]-b.T)
+	}
+	slices.Sort(lats)
+	return float64(lats[len(lats)/2]) / tick
+}
+
 // BenchmarkReplicaStackClean reports the clean-network message cost per
 // write (msgs/op, resends/op, and the leader's promote broadcasts,
-// promotes/op) next to its wall time, so a return of spurious resends or of
-// per-tick promotes shows in benchmark logs.
+// promotes/op) and the median write-to-visible-everywhere latency
+// (visible-p50-ticks) next to its wall time, so a return of spurious
+// resends, of per-tick promotes or of the leader's wait for its tick shows
+// in benchmark logs.
 func BenchmarkReplicaStackClean(b *testing.B) {
 	const writes = 300
 	b.ReportAllocs()
 	var msgs, resends, promotes int64
+	var visible float64
 	for i := 0; i < b.N; i++ {
 		svc, ok, r := cleanStackRun(1, writes)
 		if !ok {
@@ -94,9 +124,11 @@ func BenchmarkReplicaStackClean(b *testing.B) {
 		msgs += svc.Kernel().MessagesSent()
 		resends += r
 		promotes += leaderPromotes(svc)
+		visible += visibleP50Ticks(svc)
 	}
 	ops := float64(b.N * writes)
 	b.ReportMetric(float64(msgs)/ops, "msgs/op")
 	b.ReportMetric(float64(resends)/ops, "resends/op")
 	b.ReportMetric(float64(promotes)/ops, "promotes/op")
+	b.ReportMetric(visible/float64(b.N), "visible-p50-ticks")
 }

@@ -74,9 +74,12 @@ func (a *CommitAutomaton) Recv(ctx model.Context, from model.ProcID, payload any
 		a.maybeCommit(ctx)
 		return
 	}
-	beforeCtr := a.lastCtr[from]
-	a.Automaton.Recv(ctx, from, payload)
-	if m, ok := payload.(PromoteMsg); ok && a.lastCtr[from] > beforeCtr {
+	m, ok := payload.(PromoteMsg)
+	if !ok {
+		a.Automaton.Recv(ctx, from, payload)
+		return
+	}
+	if a.adopt(ctx, from, m) {
 		// Adopted a fresh promote from the leader we trust: acknowledge to
 		// everyone, including ourselves.
 		a.dFrom = from

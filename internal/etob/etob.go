@@ -12,18 +12,22 @@
 //	On local timeout:
 //	    if Ω_i = p_i then send promote(promote_i) to all
 //
-// This package's leader sends that promote only when it has news: when
-// promote_i grew since its last promote, when Ω_i was not p_i at its
-// previous timeout, or when promoteKeepalive timeouts have passed since its
-// last promote (see Tick). Lemma 3 needs only that the leader's latest
-// promote_i eventually reaches every correct process after τ, and that a
-// receiver then trusts the leader. Over reliable links (the paper's model),
-// the send on each change delivers each promote_i; the keepalive covers a
-// process whose Ω turns to the leader after the last change, which drops
-// promotes it received earlier. Over lossy links, the keepalive repeats the
-// latest promote_i forever, so each correct process receives it with
-// probability 1. That is why internal/retransmit sends promotes raw (see
-// PromoteMsg): it resends only updates, which nothing else repeats.
+// This package's leader sends that promote when it has news, not on every
+// timeout: in the step in which an update grows promote_i (if it was leader
+// at its previous timeout already), on the first timeout at which Ω_i = p_i
+// after one at which it was not, and when promoteKeepalive timeouts have
+// passed since its last promote (see Tick). A write is thus ordered in the
+// step the leader learns it, two communication steps after its broadcast,
+// with no wait for the leader's next timeout. Lemma 3 needs only that the
+// leader's latest promote_i eventually reaches every correct process after
+// τ, and that a receiver then trusts the leader. Over reliable links (the
+// paper's model), the send on each change delivers each promote_i; the
+// keepalive covers a process whose Ω turns to the leader after the last
+// change, which drops promotes it received earlier. Over lossy links, the
+// keepalive repeats the latest promote_i forever, so each correct process
+// receives it with probability 1. That is why internal/retransmit sends
+// promotes raw (see PromoteMsg): it resends only updates, which nothing else
+// repeats.
 //
 // The three headline properties (Lemma 3 and §5 discussion), all exercised by
 // the experiments in internal/bench:
@@ -60,12 +64,21 @@ type UpdateMsg struct {
 }
 
 // PromoteMsg is the promote(promote_i) message: the leader's current
-// promotion sequence. Counter is a per-sender monotone counter: links in the
-// model are reliable but not FIFO, and adopting a stale promote after a newer
-// one would shrink d_i and break (E)TOB-Stability. Receivers ignore promotes
-// older than the last one adopted from the same sender — the standard fix,
-// equivalent to the FIFO adoption the paper's Lemma 3 proof implicitly uses
-// (it matches d_i(t1), d_i(t2) with promote_j(t3), promote_j(t4), t3 ≤ t4).
+// promotion sequence. Links in the model are reliable but not FIFO, and
+// adopting a stale promote after a newer one would shrink d_i and break
+// (E)TOB-Stability. Receivers therefore order one sender's promotes by
+// (Counter, len(Seq)) and ignore any not above the last one they adopted
+// from it — the standard fix, equivalent to the FIFO adoption the paper's
+// Lemma 3 proof implicitly uses (it matches d_i(t1), d_i(t2) with
+// promote_j(t3), promote_j(t4), t3 ≤ t4).
+//
+// Counter is the sender's leader-tick count: it advances on every tick at
+// which the sender is leader, sent or not (see Tick), so consecutive
+// promotes can skip values, and the promotes a leader sends between two
+// ticks, one per growth of promote_i (see Recv), share one value. Length
+// orders those: within one incarnation promote_i is append-only, so of two
+// promotes with one counter the longer one was sent later and extends the
+// shorter.
 //
 // Seq is a clipped view of the sender's append-only promote_i, not a copy,
 // and a receiver adopts it as d_i as is: it is read-only, shared with the
@@ -77,10 +90,7 @@ type UpdateMsg struct {
 // promoteKeepalive ticks (see Tick). A retransmission layer therefore sends
 // promotes raw, with no envelope, ack or resend: a lost copy is replaced by
 // the next promote. A duplicate, or a late copy of an older promote, is
-// dropped by the counter guard above.
-//
-// Counter advances on every leader tick, sent or not (see Tick), so
-// consecutive promotes from one sender can skip values.
+// dropped by the (Counter, len(Seq)) guard above.
 type PromoteMsg struct {
 	Seq     []string
 	Counter int64
@@ -108,14 +118,14 @@ type Automaton struct {
 	marks    map[model.ProcID]causal.Mark // per sender: how much of its CG_j is merged
 	promoted causal.Mark                  // CG_i's mark when promote_i was last extended
 
-	promoteCtr int64                  // counter stamped on our promote messages
-	lastCtr    map[model.ProcID]int64 // highest promote counter adopted per sender
+	promoteCtr int64                        // counter stamped on our promote messages
+	adopted    map[model.ProcID]promoteRank // highest promote adopted per sender
 
 	// Promote quiescence (see Tick): whether Ω_i = p_i at the previous
-	// tick, len(promote_i) in the last promote sent, leader ticks since that
-	// send, and how many promotes this process has broadcast.
+	// tick and at every step since that grew promote_i, leader ticks since
+	// the last promote sent, and how many promotes this process has
+	// broadcast.
 	wasLeader    bool
-	sentLen      int
 	sinceSent    int
 	promotesSent int64
 
@@ -136,7 +146,7 @@ func New(p model.ProcID, n int) *Automaton {
 		front:    make(map[string]struct{}),
 		marks:    make(map[model.ProcID]causal.Mark),
 		promoted: cg.Mark(),
-		lastCtr:  make(map[model.ProcID]int64),
+		adopted:  make(map[model.ProcID]promoteRank),
 	}
 }
 
@@ -198,22 +208,60 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 	switch m := payload.(type) {
 	case UpdateMsg:
 		a.unionCG(from, m.CG)
-		a.updatePromote()
+		if a.updatePromote() {
+			a.promoteOnChange(ctx)
+		}
 	case PromoteMsg:
-		leader, ok := fd.LeaderOf(ctx.FD())
-		if !ok || leader != from {
-			return
-		}
-		if m.Counter <= a.lastCtr[from] {
-			return // stale promote (links are not FIFO)
-		}
-		a.lastCtr[from] = m.Counter
-		// Adopted promotes are views of the leader's append-only
-		// promote_i, so in-process this compare is O(1).
-		if keep := model.CommonPrefix(a.d, m.Seq); keep < len(a.d) || keep < len(m.Seq) {
-			a.d = m.Seq
-			ctx.Output(model.SeqSnapshot{Seq: a.d})
-		}
+		a.adopt(ctx, from, m)
+	}
+}
+
+// promoteRank orders one sender's promotes: by counter, then by length (see
+// PromoteMsg).
+type promoteRank struct {
+	ctr int64
+	n   int
+}
+
+func (r promoteRank) below(o promoteRank) bool {
+	return r.ctr < o.ctr || r.ctr == o.ctr && r.n < o.n
+}
+
+// adopt is the reception of promote(promote_j) from p_j: if Ω_i = p_j and
+// the promote ranks above the last one adopted from p_j, d_i := promote_j.
+// It reports whether the promote was adopted, d_i changed or not.
+func (a *Automaton) adopt(ctx model.Context, from model.ProcID, m PromoteMsg) bool {
+	leader, ok := fd.LeaderOf(ctx.FD())
+	if !ok || leader != from {
+		return false
+	}
+	r := promoteRank{m.Counter, len(m.Seq)}
+	if !a.adopted[from].below(r) {
+		return false // stale or duplicate promote (links are not FIFO)
+	}
+	a.adopted[from] = r
+	// Adopted promotes are views of the leader's append-only promote_i, so
+	// in-process this compare is O(1).
+	if keep := model.CommonPrefix(a.d, m.Seq); keep < len(a.d) || keep < len(m.Seq) {
+		a.d = m.Seq
+		ctx.Output(model.SeqSnapshot{Seq: a.d})
+	}
+	return true
+}
+
+// promoteOnChange sends promote_i in the step an update grew it, if Ω_i =
+// p_i now and at the previous tick. Otherwise the next tick at which Ω_i =
+// p_i sends it as one gaining leadership: wasLeader is already false at a
+// process that gained leadership since its previous tick, and a process
+// that is not leader now clears it here. No growth waits for a keepalive.
+func (a *Automaton) promoteOnChange(ctx model.Context) {
+	leader, ok := fd.LeaderOf(ctx.FD())
+	if !ok || leader != a.self {
+		a.wasLeader = false
+		return
+	}
+	if a.wasLeader {
+		a.sendPromote(ctx)
 	}
 }
 
@@ -223,13 +271,12 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 const promoteKeepalive = 8
 
 // Tick implements model.Automaton: the "local timeout" of Algorithm 5. The
-// paper's leader sends promote(promote_i) on every timeout. This one sends
-// it only in three cases:
-//   - promote_i grew since its last promote (promote_i only grows, so its
-//     length tells);
+// paper's leader sends promote(promote_i) on every timeout. A growth of
+// promote_i is sent in the step that grew it (see promoteOnChange), so this
+// one sends only in the two cases nothing else covers:
 //   - it was not leader at its previous tick, its first tick included:
 //     meanwhile others may have trusted, and adopted the sequence of,
-//     another leader;
+//     another leader, and promote_i may have grown unsent;
 //   - promoteKeepalive ticks have passed since its last promote: a process
 //     whose Ω turns to this leader after the last change ignored every
 //     promote sent before, and a lost promote is otherwise never repeated
@@ -237,11 +284,12 @@ const promoteKeepalive = 8
 //
 // Each receiver thus gets the latest promote_i once it trusts the leader,
 // which is all Lemma 3 uses. The counter advances on every leader tick, sent
-// or not. A restarted leader starts from zero, and its followers drop its
-// promotes until the counter passes its old incarnation's; a per-tick counter
-// climbs past it at one per tick, so the stale-promote guard in Recv mutes it
-// no longer than when the leader sent on every tick. A counter advanced per
-// send would climb one per keepalive while idle.
+// or not, and not per send. A restarted leader starts from zero, and its
+// followers drop its promotes until the counter passes its old
+// incarnation's; a per-tick counter climbs past it at one per tick, so the
+// stale-promote guard in adopt mutes it no longer than when the leader sent
+// on every tick. A counter advanced per send would climb one per keepalive
+// while idle.
 func (a *Automaton) Tick(ctx model.Context) {
 	leader, ok := fd.LeaderOf(ctx.FD())
 	if !ok || leader != a.self {
@@ -250,11 +298,17 @@ func (a *Automaton) Tick(ctx model.Context) {
 	}
 	a.promoteCtr++
 	a.sinceSent++
-	n := len(a.promote)
-	if a.wasLeader && n == a.sentLen && a.sinceSent < promoteKeepalive {
+	if a.wasLeader && a.sinceSent < promoteKeepalive {
 		return
 	}
-	a.wasLeader, a.sentLen, a.sinceSent = true, n, 0
+	a.wasLeader = true
+	a.sendPromote(ctx)
+}
+
+// sendPromote broadcasts promote(promote_i) under the current counter.
+func (a *Automaton) sendPromote(ctx model.Context) {
+	n := len(a.promote)
+	a.sinceSent = 0
 	a.promotesSent++
 	ctx.Broadcast(PromoteMsg{Seq: a.promote[:n:n], Counter: a.promoteCtr})
 }
@@ -313,10 +367,11 @@ func (a *Automaton) coverEdge(dep string) {
 // promote_i as a prefix. promote_i holds exactly the nodes CG_i had at the
 // last extension, so ExtendSince places only the ones added since; when CG_i
 // has not changed (its mark has not moved), there is nothing to place, and
-// skipping the call removes the cost of redundant update floods.
-func (a *Automaton) updatePromote() {
+// skipping the call removes the cost of redundant update floods. It reports
+// whether promote_i grew.
+func (a *Automaton) updatePromote() bool {
 	if a.cg.Mark() == a.promoted {
-		return
+		return false
 	}
 	next, err := a.cg.ExtendSince(a.promote, a.promoted)
 	if err != nil {
@@ -325,8 +380,10 @@ func (a *Automaton) updatePromote() {
 		// here is a protocol-invariant bug worth crashing the simulation for.
 		panic(fmt.Sprintf("etob: UpdatePromote invariant violated at %v: %v", a.self, err))
 	}
+	grew := len(next) > len(a.promote)
 	a.promote = next
 	a.promoted = a.cg.Mark()
+	return grew
 }
 
 // frontier returns the causal frontier: all known messages with no known

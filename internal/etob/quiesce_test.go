@@ -224,3 +224,40 @@ func (d downWindows) Restarts(p model.ProcID) []model.Time {
 	}
 	return nil
 }
+
+// TestGrowthWhileNotLeaderPromotedAtNextTick: p1 leads, but its Ω outputs
+// p2 for a stretch between two of its ticks, and an update grows promote_i
+// inside that stretch. p1 may not promote then, and its next tick, as
+// leader again, must send the growth as one gaining leadership, not leave
+// it to the keepalive.
+func TestGrowthWhileNotLeaderPromotedAtNextTick(t *testing.T) {
+	// p1 ticks at 1 + 5k; its Ω outputs p2 over [102, 105).
+	const lostAt, regainedAt, nextTick = 102, 105, 106
+	fp := model.NewFailurePattern(3)
+	det := scriptedOmega(func(p model.ProcID, t model.Time) model.ProcID {
+		if p == 1 && t >= lostAt && t < regainedAt {
+			return 2
+		}
+		return 1
+	})
+	log := newPromoteLog()
+	k := sim.New(fp, det, Factory(), sim.Options{MinDelay: 7, MaxDelay: 7})
+	k.SetObserver(log)
+	k.ScheduleInput(2, lostAt-6, model.BroadcastInput{ID: "m1"}) // reaches p1 at 103
+	k.Run(300)
+
+	if sent, ok := log.firstSentAtOrAfter(1, lostAt); !ok || sent != nextTick {
+		t.Errorf("p1 first promoted at %d (ok=%v) after promote_i grew at %d, want its next tick %d",
+			sent, ok, lostAt+1, nextTick)
+	}
+	// Non-vacuity: no keepalive falls due at that tick.
+	var last model.Time = -1
+	for _, s := range log.sent[1] {
+		if s < lostAt {
+			last = s
+		}
+	}
+	if last < 0 || (nextTick-last)/tick >= promoteKeepalive {
+		t.Fatalf("p1 last promoted at %d: a keepalive falls due at %d", last, nextTick)
+	}
+}

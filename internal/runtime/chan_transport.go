@@ -118,8 +118,8 @@ func (t *ChanTransport) Close() error {
 // the fabric's artificial delay if any.
 func (t *ChanTransport) Send(f Frame) error {
 	to := f.To
-	if to < 1 || int(to) > t.nw.n {
-		return fmt.Errorf("runtime: send to unknown process %v", to)
+	if to < 1 || int(to) > t.nw.n || to == t.self {
+		return errNotPeer(t.self, to)
 	}
 	target := t.nw.eps[to-1]
 	var d time.Duration

@@ -31,8 +31,8 @@ import (
 // (Partition, Heal, SetEnabled) are scripted by the harness at wall instants
 // and sit OUTSIDE the seeded schedule by design.
 //
-// Scope: faults apply on the send side, self-frames excepted (a process's
-// frames to itself model local memory, as in the simulator). Heartbeat
+// Scope: faults apply on the send side, to frames between peers; Send
+// rejects a frame to self, which a Proc delivers from its own loop. Heartbeat
 // frames are subject to drops, partitions, and resets like any other frame.
 // Since every received frame counts as liveness for the heartbeat Ω, a
 // partition must sever every frame across it, protocol frames included, to
@@ -314,7 +314,7 @@ func (t *FaultTransport) burstLen(from, to model.ProcID, k int64, max int) int {
 // then forward, duplicate, hold back, delay, or drop the frame.
 func (t *FaultTransport) Send(f Frame) error {
 	if f.From == f.To {
-		return t.inner.Send(f) // self-link models local memory: never faulted
+		return errNotPeer(f.From, f.To)
 	}
 	t.mu.Lock()
 	if !t.enabled {

@@ -147,17 +147,20 @@ func TestFaultTransportPartitionAndHeal(t *testing.T) {
 	}
 }
 
-// TestFaultTransportSelfFramesNeverFaulted: frames to self model local
-// memory and bypass injection entirely, as in the simulator.
-func TestFaultTransportSelfFramesNeverFaulted(t *testing.T) {
+// TestFaultTransportSelfSendErrors: a Proc delivers its frames to itself
+// from its own loop, so a frame to self is no peer's. Send rejects it, with
+// injection on or off, and hands nothing to the inner transport.
+func TestFaultTransportSelfSendErrors(t *testing.T) {
 	rec := newRecordingTransport(1, 3)
 	ft := NewFaultTransport(rec, FaultConfig{Seed: 1, Drop: 0.9})
-	ft.Partition(1)
-	for k := 0; k < 100; k++ {
-		_ = ft.Send(Frame{From: 1, To: 1, ID: int64(k)})
+	for _, enabled := range []bool{true, false} {
+		ft.SetEnabled(enabled)
+		if err := ft.Send(Frame{From: 1, To: 1}); err == nil {
+			t.Errorf("self-send with injection enabled=%v: no error", enabled)
+		}
 	}
-	if got := len(rec.sent()); got != 100 {
-		t.Fatalf("self-frames faulted: %d of 100 delivered", got)
+	if got := len(rec.sent()); got != 0 {
+		t.Fatalf("%d self-frames reached the inner transport", got)
 	}
 }
 

@@ -313,13 +313,9 @@ func (t *TCPTransport) Close() error {
 // frames enqueue on the peer's outbound queue. Never blocks — a full queue
 // or closed endpoint drops the frame with a counter.
 func (t *TCPTransport) Send(f Frame) error {
-	if f.To == t.self {
-		t.offer(f)
-		return nil
-	}
 	peer, ok := t.peers[f.To]
 	if !ok {
-		return fmt.Errorf("runtime: send to unknown process %v", f.To)
+		return errNotPeer(t.self, f.To)
 	}
 	select {
 	case <-t.closed:
@@ -342,8 +338,8 @@ func (t *TCPTransport) drop(f Frame) {
 	}
 }
 
-// offer funnels a received (or self-sent) frame into the inbox, dropping on
-// overflow like every Transport.
+// offer funnels a received frame into the inbox, dropping on overflow like
+// every Transport.
 func (t *TCPTransport) offer(f Frame) {
 	select {
 	case <-t.closed:

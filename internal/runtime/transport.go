@@ -1,6 +1,10 @@
 package runtime
 
-import "repro/internal/model"
+import (
+	"fmt"
+
+	"repro/internal/model"
+)
 
 // Frame is one wire-level envelope between processes: link addressing plus
 // an opaque protocol payload. Frames are what a Transport moves; the
@@ -53,12 +57,13 @@ type Heartbeat struct{}
 //     restores the eventual-delivery assumption end-to-end, and a TCP
 //     reconnect is then just a long link delay.
 //
-// Every implementation loops a self-frame back into its inbox, where overflow
-// can drop it. A Proc never sends one: it delivers its messages to itself
-// from its own loop, so its self-link is lossless, as in the simulator.
+// A Transport carries frames between peers only. A Proc delivers its
+// messages to itself from its own loop, so its self-link is lossless, as in
+// the simulator; Send rejects a frame addressed to the endpoint itself as it
+// rejects one to an unknown process.
 //
 // Send never blocks on a slow peer and is safe for concurrent use; errors are
-// reserved for structural failures (unknown peer, closed transport), not for
+// reserved for structural failures (no such peer, closed transport), not for
 // frame loss. Close releases the endpoint's resources; after Close, Recv's
 // channel no longer receives frames.
 type Transport interface {
@@ -66,7 +71,7 @@ type Transport interface {
 	Self() model.ProcID
 	// N returns the number of processes in the cluster.
 	N() int
-	// Send transmits the frame to f.To (self-sends loop back locally).
+	// Send transmits the frame to the peer f.To.
 	Send(f Frame) error
 	// Recv returns the channel on which received frames arrive.
 	Recv() <-chan Frame
@@ -76,4 +81,10 @@ type Transport interface {
 	Dropped() int64
 	// Close shuts the endpoint down. Idempotent.
 	Close() error
+}
+
+// errNotPeer is Send's error for a frame addressed to no peer of self: an
+// unknown process, or self itself.
+func errNotPeer(self, to model.ProcID) error {
+	return fmt.Errorf("runtime: send from %v to %v: not a peer", self, to)
 }
