@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/retransmit"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/smr"
@@ -163,3 +165,23 @@ func simSeed(seed int64) (o sim.Options) {
 }
 
 func liveOpts() (o runtime.Options) { return o }
+
+// The deployed stacks as model.Wakers: an Eventual follower has no tick due,
+// while the Strong stacks, whose Paxos log is not a Waker, have every tick
+// due, so that a live loop keeps ticking them every TickInterval. Each
+// layer passes the answer through, with or without retransmission.
+func TestStackIdleTicks(t *testing.T) {
+	rt := retransmit.Options{Seed: 1}
+	for _, c := range []Consistency{Eventual, Strong, StrongSigma} {
+		for _, o := range []StackOptions{{}, {Retransmit: &rt}} {
+			a := ReplicaStackWith(c, o)(2, 3)
+			want := int64(0)
+			if c == Eventual {
+				want = -1
+			}
+			if got := model.IdleTicks(a, fd.OmegaValue(1)); got != want {
+				t.Errorf("%v stack (retransmit %v): IdleTicks = %d, want %d", c, o.Retransmit != nil, got, want)
+			}
+		}
+	}
+}

@@ -305,6 +305,25 @@ func (a *Automaton) Tick(ctx model.Context) {
 	a.sendPromote(ctx)
 }
 
+// IdleTicks implements model.Waker. A leader's ticks only count until its
+// keepalive is due, and the first tick of a process that gained leadership
+// sends. A process whose Ω has moved away with wasLeader still set ticks
+// next, so that the flag is cleared before Ω can return and a regained
+// leadership is announced by a promote. Any other process's ticks do
+// nothing.
+func (a *Automaton) IdleTicks(fdv any) int64 {
+	if leader, ok := fd.LeaderOf(fdv); !ok || leader != a.self {
+		if a.wasLeader {
+			return 0
+		}
+		return -1
+	}
+	if !a.wasLeader {
+		return 0
+	}
+	return int64(max(0, promoteKeepalive-1-a.sinceSent))
+}
+
 // sendPromote broadcasts promote(promote_i) under the current counter.
 func (a *Automaton) sendPromote(ctx model.Context) {
 	n := len(a.promote)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -259,5 +260,41 @@ func TestGrowthWhileNotLeaderPromotedAtNextTick(t *testing.T) {
 	}
 	if last < 0 || (nextTick-last)/tick >= promoteKeepalive {
 		t.Fatalf("p1 last promoted at %d: a keepalive falls due at %d", last, nextTick)
+	}
+}
+
+// TestIdleTicksPredictsDueTicks pins IdleTicks against Tick itself: over an
+// Ω schedule that makes p1 leader, takes leadership away and gives it back,
+// a tick changes what p1 sends or its leadership flag exactly when the
+// previous IdleTicks answer was 0.
+func TestIdleTicksPredictsDueTicks(t *testing.T) {
+	var schedule []model.ProcID
+	for _, run := range []struct {
+		leader model.ProcID
+		ticks  int
+	}{{1, 30}, {2, 5}, {1, 20}, {3, 1}, {1, 12}} {
+		for i := 0; i < run.ticks; i++ {
+			schedule = append(schedule, run.leader)
+		}
+	}
+	a := New(1, 3)
+	var out []sent
+	a.Init(capCtx{self: 1, n: 3, fd: fd.OmegaValue(1), out: &out})
+	sends := 0
+	for i, l := range schedule {
+		ctx := capCtx{self: 1, n: 3, fd: fd.OmegaValue(l), out: &out}
+		k := a.IdleTicks(ctx.fd)
+		before, was := len(out), a.wasLeader
+		a.Tick(ctx)
+		due := len(out) > before || a.wasLeader != was
+		if due != (k == 0) {
+			t.Fatalf("tick %d (Ω=%v): IdleTicks said %d, but the tick was due=%v", i, l, k, due)
+		}
+		if len(out) > before {
+			sends++
+		}
+	}
+	if sends < 8 {
+		t.Fatalf("only %d promotes over the schedule: it exercised too little", sends)
 	}
 }

@@ -54,3 +54,28 @@ type Automaton interface {
 // AutomatonFactory builds the automaton of each process; used by kernels to
 // instantiate a fresh protocol instance per run.
 type AutomatonFactory func(p ProcID, n int) Automaton
+
+// Waker is an optional extension of Automaton for a kernel that wakes a
+// process only for due work (the live runtime does; the simulator ticks
+// every process every TickInterval and never asks).
+//
+// IdleTicks returns how many of the coming ticks would only advance
+// counters, given that the detector value stays fd: ticks that send,
+// output and decide nothing, so that running them late, all just before
+// the process's next step, changes nothing anyone observes. It returns −1
+// when no coming tick is due while fd stays the same. A kernel that asks
+// must still run every tick (deferred, not skipped), and must ask again
+// after every step and whenever the detector value changes.
+type Waker interface {
+	IdleTicks(fd any) int64
+}
+
+// IdleTicks returns a's answer when it is a Waker, and 0 (the next tick is
+// due) when it is not, so that a layer wrapping an automaton that does not
+// say keeps it ticking every TickInterval.
+func IdleTicks(a Automaton, fd any) int64 {
+	if w, ok := a.(Waker); ok {
+		return w.IdleTicks(fd)
+	}
+	return 0
+}

@@ -59,7 +59,8 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 	waitConverged(t, c.nodes, ops, want, 20*time.Second)
 
 	// Frames prove liveness, so a busy link carries no heartbeat; but once
-	// the cluster is idle, every link gets one within two beats.
+	// the cluster is idle, every node beats: the leader its followers, and
+	// each follower the leader.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, nd := range c.nodes {
 		for scrapeMetrics(t, nd.URL())[obs.MetricOmegaHeartbeats] == 0 {
@@ -84,6 +85,7 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 			obs.MetricTransportFlushes, obs.MetricTransportInboxDrop, obs.MetricTransportBytesSent,
 			obs.MetricNodeAccepted, obs.MetricNodeDegraded,
 			obs.MetricOmegaFlaps, obs.MetricOmegaLeader, obs.MetricOmegaHeartbeats,
+			obs.MetricRuntimeWakeups,
 		} {
 			if _, ok := vals[name]; !ok {
 				t.Errorf("node %v /metrics missing live metric %s", nd.ID(), name)
@@ -216,7 +218,7 @@ func TestMetricsScrapeMonotonicUnderLoad(t *testing.T) {
 	counters := []string{
 		obs.MetricNodeAccepted, obs.MetricSMRApplied,
 		obs.MetricTransportFlushes, obs.MetricRetransmitResends,
-		obs.MetricTransportBytesSent, obs.MetricOmegaHeartbeats,
+		obs.MetricTransportBytesSent, obs.MetricOmegaHeartbeats, obs.MetricRuntimeWakeups,
 	}
 	for i := 0; i < 5; i++ {
 		if err := c.update("mono", fmt.Sprintf("set m%d %d", i, i)); err != nil {

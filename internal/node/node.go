@@ -50,6 +50,14 @@
 //   - /healthz stays 200: a degraded replica is alive and useful for reads;
 //     eviction would throw that capacity away.
 //
+// What a replica hears follows the heartbeat schedule (runtime.Proc): the
+// leader beats every follower every LeaderTimeout/4, and each follower beats
+// the leader every DegradedAfter/4, so a connected leader and its followers
+// hear each other well within the window. Followers do not beat each other.
+// A replica that trusts itself because it cannot reach the leader, and
+// reaches only the leader's followers, therefore hears nobody and degrades
+// (its own promotes to those followers draw no reply).
+//
 // Degradation is self-healing: the first peer frame after the partition
 // heals clears it. A boot grace period (Config.BootGrace) keeps a starting
 // replica out of degraded mode while the mesh dials in.
@@ -126,7 +134,8 @@ type Config struct {
 	// Machine is the replicated state machine (default KV store).
 	Machine smr.MachineFactory
 	// Runtime tunes the event loop. ClockEpoch is forced to the Unix epoch
-	// (see the package comment); everything else passes through.
+	// (see the package comment) and DegradedAfter to the node's degraded
+	// window (below); everything else passes through.
 	Runtime runtime.Options
 	// Retransmit tunes the retransmission layer. Nil gets a per-ID seed and
 	// DefaultGiveUpTicks.
@@ -138,7 +147,10 @@ type Config struct {
 	// DegradedAfter is the peer-silence window (no frame of any kind from
 	// any peer) after which the replica declares itself degraded
 	// (read-only). Default: Runtime.LeaderTimeout, or
-	// runtime.DefaultLeaderTimeout when that is unset.
+	// runtime.DefaultLeaderTimeout when that is unset. It also paces the
+	// followers' heartbeats to the leader, one every DegradedAfter/4, since
+	// the leader's degraded check is their only reader: a longer window
+	// means fewer idle frames.
 	DegradedAfter time.Duration
 	// BootGrace suppresses degraded mode for this long after start, covering
 	// mesh dial-in. Default: 2×DegradedAfter.
@@ -214,6 +226,7 @@ func New(cfg Config) (*Node, error) {
 	if degradedAfter <= 0 {
 		degradedAfter = opts.LeaderTimeout
 	}
+	opts.DegradedAfter = degradedAfter
 	bootGrace := cfg.BootGrace
 	if bootGrace <= 0 {
 		bootGrace = 2 * degradedAfter
@@ -307,6 +320,7 @@ func (n *Node) wireMetrics() {
 	})
 	reg.CounterFunc(obs.MetricOmegaFlaps, n.proc.LeaderFlaps)
 	reg.CounterFunc(obs.MetricOmegaHeartbeats, n.proc.HeartbeatsSent)
+	reg.CounterFunc(obs.MetricRuntimeWakeups, n.proc.Wakeups)
 	reg.GaugeFunc(obs.MetricOmegaLeader, func() int64 { return int64(n.proc.Leader()) })
 	reg.OnScrape(func() {
 		n.proc.Inspect(func(a model.Automaton) { core.CollectStackMetrics(reg, a) })

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -46,7 +47,7 @@ func newCluster(t *testing.T, n int) *cluster {
 // Every replica's peer map names every port, so one lost port means a fresh
 // set of ports for all of them: the boot is retried from scratch, on new
 // ports and a new front door, when a bind fails with EADDRINUSE.
-func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
+func newClusterWith(t testing.TB, n int, hook func(*node.Config)) *cluster {
 	t.Helper()
 	const bootAttempts = 5
 	for attempt := 1; ; attempt++ {
@@ -196,7 +197,9 @@ func nodeStatus(nd *node.Node) (node.Status, error) {
 }
 
 // waitConverged waits until every listed node has applied at least minApplied
-// commands and all snapshots are identical and contain every want pair.
+// commands and all snapshots are identical and contain every want pair. On
+// timeout it reports every replica's applied count, snapshot and missing
+// want keys, so a lost write shows who holds it.
 func waitConverged(t *testing.T, nodes []*node.Node, minApplied int, want map[string]string, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -210,30 +213,25 @@ func waitConverged(t *testing.T, nodes []*node.Node, minApplied int, want map[st
 			if err != nil {
 				ok = false
 				last = append(last, fmt.Sprintf("%v: %v", nd.ID(), err))
-				break
+				continue
 			}
-			last = append(last, fmt.Sprintf("%v: applied=%d snap=%s", nd.ID(), st.Applied, st.Snapshot))
-			if st.Applied < minApplied {
-				ok = false
-				break
-			}
-			if i == 0 {
-				ref = st.Snapshot
-			} else if st.Snapshot != ref {
-				ok = false
-				break
-			}
-		}
-		if ok && ref != "" {
+			var missing []string
 			for k, v := range want {
-				if !hasPair(ref, k+"="+v) {
-					ok = false
-					break
+				if !hasPair(st.Snapshot, k+"="+v) {
+					missing = append(missing, k)
 				}
 			}
-			if ok {
-				return
+			sort.Strings(missing)
+			last = append(last, fmt.Sprintf("%v: applied=%d missing=%v snap=%s", nd.ID(), st.Applied, missing, st.Snapshot))
+			if i == 0 {
+				ref = st.Snapshot
 			}
+			if st.Applied < minApplied || len(missing) > 0 || st.Snapshot != ref {
+				ok = false
+			}
+		}
+		if ok {
+			return
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -58,10 +58,11 @@ const (
 	MetricNodeDegraded = "node_degraded"
 	MetricHTTPLatency  = "http_request_duration_us"
 
-	// Heartbeat Ω (internal/runtime Proc).
+	// Heartbeat Ω and event-loop wake-ups (internal/runtime Proc).
 	MetricOmegaFlaps      = "omega_flaps_total"
 	MetricOmegaLeader     = "omega_leader"
 	MetricOmegaHeartbeats = "omega_heartbeats_sent_total"
+	MetricRuntimeWakeups  = "runtime_wakeups_total"
 
 	// Front door (internal/lb).
 	MetricLBFailovers     = "lb_failovers_total"

@@ -479,6 +479,25 @@ func (a *Automaton) Tick(ctx model.Context) {
 	a.inner.Tick(&wrapCtx{ctx: ctx, a: a})
 }
 
+// IdleTicks implements model.Waker: the coming ticks before the earlier of
+// the next resend and the inner automaton's next due tick only advance the
+// tick count. Acked envelopes at the top of the resend heap are released
+// first, so a settled envelope does not wake the process at its old due
+// tick; the resend order of the rest is unchanged.
+func (a *Automaton) IdleTicks(fd any) int64 {
+	k := model.IdleTicks(a.inner, fd)
+	h := &a.heap
+	for h.len() > 0 && h.slots[h.keys[0].slot].acked {
+		h.release(h.pop().slot)
+	}
+	if h.len() > 0 {
+		if due := max(0, h.peekDue()-a.ticks-1); k < 0 || due < k {
+			k = due
+		}
+	}
+	return k
+}
+
 // resendDue pops every envelope whose due tick has arrived, discards settled
 // ones, and resends the rest in send (ord) order — the order the old linear
 // scan produced, which pins the seeded jitter stream and hence the golden

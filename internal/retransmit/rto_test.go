@@ -142,3 +142,47 @@ func TestRTTEstimatorResetsOnRestart(t *testing.T) {
 		t.Fatal("an ack addressed to the previous epoch was sampled")
 	}
 }
+
+// quietP2 is toP2 as a model.Waker with no tick of its own ever due.
+type quietP2 struct{ toP2 }
+
+func (quietP2) IdleTicks(any) int64 { return -1 }
+
+// TestIdleTicksPredictsResends pins IdleTicks against the resend schedule:
+// over a never-acked envelope's backoff, a tick resends exactly when the
+// previous IdleTicks answer was 0. Once acked, the envelope no longer makes
+// any tick due, and a wrapped automaton that is not a Waker has every tick
+// due.
+func TestIdleTicksPredictsResends(t *testing.T) {
+	a := Wrap(func(model.ProcID, int) model.Automaton { return quietP2{} }, Options{Seed: 1})(1, 2).(*Automaton)
+	c := &handCtx{}
+	a.Init(c)
+	if k := a.IdleTicks(nil); k != -1 {
+		t.Fatalf("nothing pending: IdleTicks = %d, want -1", k)
+	}
+	a.Input(c, "lost")
+	d := c.lastData()
+	for i := 1; i <= 200; i++ {
+		k, before := a.IdleTicks(nil), a.Resends()
+		a.Tick(c)
+		if resent := a.Resends() > before; resent != (k == 0) {
+			t.Fatalf("tick %d: IdleTicks said %d, but resent=%v", i, k, resent)
+		}
+	}
+	if a.Resends() < 4 {
+		t.Fatalf("%d resends in 200 ticks: the schedule was barely exercised", a.Resends())
+	}
+	a.Recv(c, 2, Ack{Epoch: d.Epoch, Seq: d.Seq})
+	if k := a.IdleTicks(nil); k != -1 {
+		t.Fatalf("acked: IdleTicks = %d, want -1", k)
+	}
+
+	b, bc := handDriven()
+	if k := b.IdleTicks(nil); k != 0 {
+		t.Fatalf("inner automaton not a Waker: IdleTicks = %d, want 0", k)
+	}
+	b.Input(bc, "x")
+	if k := b.IdleTicks(nil); k != 0 {
+		t.Fatalf("inner automaton not a Waker, envelope pending: IdleTicks = %d, want 0", k)
+	}
+}

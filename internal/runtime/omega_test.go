@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,14 +10,17 @@ import (
 )
 
 // The heartbeat Ω's liveness rule and cadence: any frame from a peer proves
-// it alive, and a Heartbeat goes out only at a beat (every LeaderTimeout/4)
-// into a link no frame went to since the previous beat. The bounds below are
+// it alive, and a Heartbeat goes out only at a beat, only to a peer that
+// reads it (a self-trusting process beats higher IDs every LeaderTimeout/4,
+// a follower its leader every DegradedAfter/4), and only into a link no
+// frame went to since the previous beat. The bounds below are
 // wall-clock ones with wide slack, since these loops share a small host with
 // other work.
 
 // tapTransport wraps a Transport and records, per destination, the wall time
 // of every frame sent and how many of them were Heartbeats. With dropBeats
-// set it swallows every Heartbeat instead of sending it.
+// set it swallows every Heartbeat instead of sending it, and it swallows
+// every frame to a peer it was told to cut.
 type tapTransport struct {
 	Transport
 	dropBeats bool
@@ -24,6 +28,7 @@ type tapTransport struct {
 	mu    sync.Mutex
 	sends map[model.ProcID][]time.Time
 	beats map[model.ProcID]int
+	cuts  map[model.ProcID]bool
 }
 
 func (t *tapTransport) Send(f Frame) error {
@@ -33,11 +38,19 @@ func (t *tapTransport) Send(f Frame) error {
 	if beat {
 		t.beats[f.To]++
 	}
+	cut := t.cuts[f.To]
 	t.mu.Unlock()
-	if beat && t.dropBeats {
+	if cut || beat && t.dropBeats {
 		return nil
 	}
 	return t.Transport.Send(f)
+}
+
+// cut loses every later frame to q.
+func (t *tapTransport) cut(q model.ProcID) {
+	t.mu.Lock()
+	t.cuts[q] = true
+	t.mu.Unlock()
 }
 
 // maxGap is the longest wall interval in [from, to] with no frame sent to q.
@@ -75,6 +88,7 @@ func omegaCluster(t *testing.T, n int, factory model.AutomatonFactory, opts Opti
 			dropBeats: p == dropBeatsFrom,
 			sends:     map[model.ProcID][]time.Time{},
 			beats:     map[model.ProcID]int{},
+			cuts:      map[model.ProcID]bool{},
 		}
 		taps = append(taps, tap)
 		procs = append(procs, NewProc(tap, factory, opts))
@@ -98,6 +112,14 @@ func (idleAuto) Init(model.Context)                    {}
 func (idleAuto) Recv(model.Context, model.ProcID, any) {}
 func (idleAuto) Input(model.Context, any)              {}
 func (idleAuto) Tick(model.Context)                    {}
+
+// quietAuto is idleAuto as a model.Waker: no tick of it is ever due, so its
+// loop wakes only for beats and Ω changes.
+type quietAuto struct{ idleAuto }
+
+func (quietAuto) IdleTicks(any) int64 { return -1 }
+
+func quietFactory(model.ProcID, int) model.Automaton { return quietAuto{} }
 
 // chattyAuto sends every peer a protocol frame at every tick when its
 // process is in talkers (nil: every process talks).
@@ -144,45 +166,97 @@ func waitLeader(t *testing.T, d time.Duration, procs []*Proc, want model.ProcID)
 	})
 }
 
-// An idle cluster still hears every peer well within the timeout: each
-// directed link carries a heartbeat at least every LeaderTimeout/2, and the
-// beats are paced by the timeout, not by the tick.
-func TestOmegaIdleLinksBeatWithinHalfTimeout(t *testing.T) {
+// An idle cluster beats only where a beat is read, O(n) links in all: the
+// leader beats every higher ID within LeaderTimeout/2, each follower beats
+// the leader within DegradedAfter/2, followers never beat each other, and
+// the cluster's heartbeats per second match that model.
+func TestOmegaIdleHeartbeatsAreLinearInN(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	const degraded = 200 * time.Millisecond
+	const window = 800 * time.Millisecond
+	for _, n := range []int{3, 5, 9} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			procs, taps := omegaCluster(t, n, quietFactory,
+				Options{LeaderTimeout: timeout, DegradedAfter: degraded}, 0)
+			waitLeader(t, 5*time.Second, procs, 1)
+			time.Sleep(degraded / 2) // past every follower's boot-time beats
+
+			beatsBefore := make([][]int, n)
+			sentBefore := make([]int64, n)
+			for i, p := range procs {
+				sentBefore[i] = p.HeartbeatsSent()
+				for _, q := range model.Procs(n) {
+					beatsBefore[i] = append(beatsBefore[i], taps[i].beatsTo(q))
+				}
+			}
+			from := time.Now()
+			time.Sleep(window)
+			to := time.Now()
+
+			const slack = 50 * time.Millisecond
+			var sent int64
+			for i, tap := range taps {
+				p := model.ProcID(i + 1)
+				sent += procs[i].HeartbeatsSent() - sentBefore[i]
+				for _, q := range model.Procs(n) {
+					var bound time.Duration
+					switch {
+					case q == p:
+						continue
+					case p == 1:
+						bound = timeout/2 + slack
+					case q == 1:
+						bound = degraded/2 + slack
+					default:
+						if got := tap.beatsTo(q) - beatsBefore[i][q-1]; got != 0 {
+							t.Errorf("follower link %v→%v carried %d heartbeats, want 0", p, q, got)
+						}
+						continue
+					}
+					if gap := tap.maxGap(q, from, to); gap > bound {
+						t.Errorf("link %v→%v silent for %v, want ≤ %v", p, q, gap, bound)
+					}
+				}
+			}
+			// The leader beats n−1 peers every timeout/4 and each of the n−1
+			// followers its leader every degraded/4. A late timer only
+			// stretches a beat interval, so allow a quarter fewer, and one
+			// more beat per link for the window's edges.
+			links := float64(n - 1)
+			want := links * (float64(to.Sub(from)/(timeout/4)) + float64(to.Sub(from)/(degraded/4)))
+			t.Logf("%d heartbeats in %v, model %.0f", sent, to.Sub(from), want)
+			if got := float64(sent); got < 0.75*want || got > want+2*links {
+				t.Errorf("%.0f heartbeats in %v, want about %.0f", got, to.Sub(from), want)
+			}
+			for _, p := range procs {
+				if p.Leader() != 1 {
+					t.Errorf("%v trusts %v, want p1", p.Self(), p.Leader())
+				}
+			}
+		})
+	}
+}
+
+// A replica that reaches only followers of a leader it cannot reach hears
+// nobody: followers beat only their leader, never each other. With the link
+// p1↔p3 cut, p3 trusts itself and its PeersHeard, node's degraded-mode
+// signal, reads 0, while p2 still hears both. The replica stack runs on top,
+// so no protocol frame reaches p3 either.
+func TestOmegaReplicaReachingOnlyFollowersHearsNobody(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	const n = 3
-	procs, taps := omegaCluster(t, n, func(model.ProcID, int) model.Automaton { return idleAuto{} },
-		Options{LeaderTimeout: timeout}, 0)
-	waitLeader(t, 5*time.Second, procs, 1)
-
-	from := time.Now()
-	sentBefore := make([]int64, n)
-	for i, p := range procs {
-		sentBefore[i] = p.HeartbeatsSent()
-	}
-	time.Sleep(800 * time.Millisecond)
-	to := time.Now()
-
-	const slack = 50 * time.Millisecond
-	for i, tap := range taps {
-		for _, q := range model.Procs(n) {
-			if q == model.ProcID(i+1) {
-				continue
-			}
-			if gap := tap.maxGap(q, from, to); gap > timeout/2+slack {
-				t.Errorf("link p%d→%v silent for %v, want ≤ %v", i+1, q, gap, timeout/2+slack)
-			}
+	procs, taps := omegaCluster(t, n, replicaStack(), Options{LeaderTimeout: timeout}, 0)
+	taps[0].cut(3)
+	taps[2].cut(1)
+	waitUntil(t, 5*time.Second, func() bool {
+		return procs[1].Leader() == 1 && procs[2].Leader() == 3 && procs[2].PeersHeard(timeout) == 0
+	})
+	for deadline := time.Now().Add(4 * timeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if got := procs[2].PeersHeard(timeout); got != 0 {
+			t.Fatalf("p3 heard %d peers within %v, want 0: a follower beat it", got, timeout)
 		}
-		// One beat per LeaderTimeout/4 per peer, plus one for the edges of
-		// the window: a tick-paced heartbeat would send 50× as many.
-		beats := procs[i].HeartbeatsSent() - sentBefore[i]
-		limit := int64(n-1) * (int64(to.Sub(from)/(timeout/4)) + 2)
-		if beats > limit {
-			t.Errorf("p%d sent %d heartbeats in %v, want ≤ %d", i+1, beats, to.Sub(from), limit)
-		}
-	}
-	for _, p := range procs {
-		if p.Leader() != 1 {
-			t.Errorf("%v trusts %v, want p1", p.Self(), p.Leader())
+		if got := procs[1].PeersHeard(timeout); got != 2 {
+			t.Fatalf("p2 heard %d peers within %v, want 2", got, timeout)
 		}
 	}
 }
@@ -262,12 +336,17 @@ func TestOmegaFailoverWithinTimeoutAndTwoBeats(t *testing.T) {
 		Options{LeaderTimeout: timeout}, 0)
 	waitLeader(t, 5*time.Second, procs, 1)
 
+	time.Sleep(timeout / 2) // every boot-time Ω change counted
+	flaps := []int64{procs[1].LeaderFlaps(), procs[2].LeaderFlaps()}
 	start := time.Now()
 	procs[0].Stop()
 	const slack = 150 * time.Millisecond
 	bound := timeout + 2*(timeout/4) + slack
 	waitLeader(t, 5*time.Second, procs[1:], 2)
-	if took := time.Since(start); took > bound {
+	took := time.Since(start)
+	t.Logf("fail-over took %v; Ω changes at p2, p3: %d, %d", took,
+		procs[1].LeaderFlaps()-flaps[0], procs[2].LeaderFlaps()-flaps[1])
+	if took > bound {
 		t.Errorf("p2 and p3 moved to p2 after %v, want ≤ %v", took, bound)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // transport-agnostic — the same loop drives an in-process replica over a
 // ChanTransport and a deployable node over a TCPTransport.
 //
-// The loop multiplexes five event sources, taking one atomic step at a time
+// The loop multiplexes four event sources, taking one atomic step at a time
 // (the step model of §2):
 //
 //   - frames from the transport (message receptions; every frame from a peer
@@ -27,18 +27,44 @@ import (
 //     kernel's self-link (no inbox overflow can drop one), and the
 //     retransmission layer sends them raw,
 //   - local operations (Submit inputs and Inspect calls),
-//   - the tick timer (λ-steps, the paper's local timeout),
-//   - the beat timer (heartbeats into silent links).
+//   - one timer, for due work only.
+//
+// Ticks (λ-steps, the paper's local timeout) fall on a TickInterval grid
+// from the loop's start, and every one of them runs, each as its own Tick
+// step: before any event is handled, the loop first runs every tick the
+// wall clock has accrued since the last one it ran. The timer therefore
+// need not fire for a tick that would only advance counters. An automaton
+// that implements model.Waker says how many of the coming ticks are of that
+// kind, and the timer is set to the earliest of the first tick that is due,
+// the next beat, and the expiry of the current leader's liveness, which is
+// the one change of Ω no frame announces. Every event sets it again. An
+// automaton that is not a Waker has every tick due, so it wakes once per
+// TickInterval as with a ticker. Steps, their order and their detector
+// values are those of a loop that woke on every tick, up to when within a
+// stretch of idle ticks each one runs; StepLog and Replay see every tick.
 //
 // The heartbeat Ω is the one failure detector actually IMPLEMENTED from
 // message passing: each process trusts the smallest-ID process it has heard
 // from within LeaderTimeout (itself included). Any frame from a peer is
 // evidence that the peer is alive, so a protocol frame counts as much as a
-// Heartbeat. Beats run every LeaderTimeout/4, the first one tick after the
-// loop starts, and a peer gets a Heartbeat at a beat only if no frame went to
-// it since the previous beat: a live link is silent for at most two beats,
-// half a timeout. Under partial synchrony the timely processes stabilize on
-// one leader, which is how Ω is realized in practice.
+// Heartbeat. Heartbeats go only where they are read, as in
+// communication-efficient Ω (Aguilera, Delporte-Gallet, Fauconnier and
+// Toueg, PODC 2004), where only the leader sends forever:
+//
+//   - a process that trusts itself beats every peer with a higher ID, every
+//     LeaderTimeout/4: those are the processes whose Ω it can be;
+//   - a process that trusts another beats only that leader, every
+//     DegradedAfter/4: the leader's degraded-mode check (PeersHeard) is the
+//     only reader of those frames.
+//
+// Followers do not beat each other. The first beat comes one tick after the
+// loop starts, and a peer gets a Heartbeat at a beat only if no frame went
+// to it since the previous beat, so a live link to a reader is silent for at
+// most two beats. Under partial synchrony the timely processes stabilize on
+// one leader, which is how Ω is realized in practice. A follower hears of
+// the next-lowest ID only once that process trusts itself and beats, so a
+// fail-over can take it one extra beat, and one extra Ω change if its own
+// view expired first.
 type Proc struct {
 	tr   Transport
 	opts Options
@@ -58,8 +84,12 @@ type Proc struct {
 	sentSinceBeat []bool       // event-loop-local, index q-1: a frame went to q since the last beat
 	selfQ         []Frame      // event-loop-local: self-sends not yet delivered, oldest first
 	prevLeader    model.ProcID // event-loop-local: Ω output at the previous step
+	nextTick      time.Time    // event-loop-local: the first tick not yet run
+	lastBeat      time.Time    // event-loop-local: the previous beat; zero before the first
+	firstBeat     time.Time    // event-loop-local: when the first beat is due
 	flaps         atomic.Int64 // Ω output changes observed across steps
 	heartbeats    atomic.Int64 // Heartbeat frames sent
+	wakeups       atomic.Int64 // timer wake-ups taken
 }
 
 type localOp struct {
@@ -109,8 +139,11 @@ func (p *Proc) Done() <-chan struct{} { return p.done }
 // now returns the process-local clock: milliseconds since ClockEpoch. The
 // paper's processes cannot read a global clock; this value is used only for
 // logging, trace timestamps, and incarnation epochs (see Options.ClockEpoch).
-func (p *Proc) now() model.Time {
-	return model.Time(time.Since(p.clockBase) / time.Millisecond)
+func (p *Proc) now() model.Time { return p.clock(time.Now()) }
+
+// clock returns the process-local clock reading at wall instant at.
+func (p *Proc) clock(at time.Time) model.Time {
+	return model.Time(at.Sub(p.clockBase) / time.Millisecond)
 }
 
 // Submit delivers an external input (operation invocation) to the process.
@@ -145,7 +178,7 @@ func (p *Proc) Inspect(f func(model.Automaton)) bool {
 
 // Leader returns the process's current heartbeat-Ω output.
 func (p *Proc) Leader() model.ProcID {
-	return p.leader()
+	return p.leaderAt(time.Now())
 }
 
 // LeaderFlaps returns how many times the heartbeat Ω's output has CHANGED
@@ -157,9 +190,15 @@ func (p *Proc) Leader() model.ProcID {
 func (p *Proc) LeaderFlaps() int64 { return p.flaps.Load() }
 
 // HeartbeatsSent returns how many Heartbeat frames this process has sent:
-// one per beat to each peer no other frame went to since the previous beat.
-// Safe to read from any goroutine.
+// one per beat to each peer it beats that no other frame went to since the
+// previous beat. Safe to read from any goroutine.
 func (p *Proc) HeartbeatsSent() int64 { return p.heartbeats.Load() }
+
+// Wakeups returns how many times the loop's timer has fired: once for each
+// due tick, beat or leader expiry that no other event came before. An idle
+// follower takes one per beat; a Waker-less automaton one per tick. Safe to
+// read from any goroutine.
+func (p *Proc) Wakeups() int64 { return p.wakeups.Load() }
 
 // PeersHeard returns how many PEERS (self excluded) this process has received
 // a frame of any kind from within the given window. It is the live
@@ -192,18 +231,18 @@ func (p *Proc) Stop() {
 
 func (p *Proc) run() {
 	defer close(p.done)
-	ticker := time.NewTicker(p.opts.TickInterval)
-	defer ticker.Stop()
 	// The first beat comes one tick in, so that the slower beat cadence does
-	// not delay Ω at boot; beats then run every LeaderTimeout/4. Not at once:
-	// peers booted just after this process are not listening yet, and a
-	// failed dial costs a wire transport its redial backoff.
-	beats := time.NewTicker(p.opts.TickInterval)
-	defer beats.Stop()
+	// not delay Ω at boot. Not at once: peers booted just after this process
+	// are not listening yet, and a failed dial costs a wire transport its
+	// redial backoff.
+	p.nextTick = time.Now().Add(p.opts.TickInterval)
+	p.firstBeat = p.nextTick
+	timer := time.NewTimer(p.opts.TickInterval)
+	defer timer.Stop()
 
 	ready := make(chan struct{})
 	close(ready)
-	p.step(trace.StepInit, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Init(ctx) })
+	p.step(trace.StepInit, model.NoProc, nil, nil, time.Now(), func(ctx *liveCtx) { p.auto.Init(ctx) })
 	inbox := p.tr.Recv()
 	for {
 		var self <-chan struct{} // ready while a self-send waits
@@ -214,38 +253,97 @@ func (p *Proc) run() {
 		case <-p.stop:
 			return
 		case op := <-p.ops:
+			p.runTicks()
 			if op.inspect != nil {
 				op.inspect(p.auto)
 				close(op.done)
-				continue
+				break
 			}
 			in := op.input
-			p.step(trace.StepInput, model.NoProc, nil, in, func(ctx *liveCtx) { p.auto.Input(ctx, in) })
+			p.step(trace.StepInput, model.NoProc, nil, in, time.Now(), func(ctx *liveCtx) { p.auto.Input(ctx, in) })
 		case f := <-inbox:
+			p.runTicks()
 			p.handle(f)
 		case <-self:
+			p.runTicks()
 			f := p.selfQ[0]
 			p.selfQ = append(p.selfQ[:0], p.selfQ[1:]...)
 			p.handle(f)
-		case <-ticker.C:
-			p.step(trace.StepTick, model.NoProc, nil, nil, func(ctx *liveCtx) { p.auto.Tick(ctx) })
-		case <-beats.C:
-			p.beat()
-			beats.Reset(p.opts.LeaderTimeout / 4)
+		case <-timer.C:
+			p.wakeups.Add(1)
+			p.runTicks()
+			now := time.Now()
+			if leader := p.leaderAt(now); !now.Before(p.beatDue(leader)) {
+				p.beat(leader)
+			}
 		}
+		timer.Reset(time.Until(p.nextWake()))
 	}
 }
 
-// beat sends a Heartbeat to every peer that no frame went to since the
-// previous beat, and starts the next interval.
-func (p *Proc) beat() {
+// runTicks runs, one Tick step each, every tick the wall clock has accrued
+// since the last one run. Each runs with the clock reading and the Ω output
+// of its own instant on the tick grid: no frame has been handled since
+// (every event runs the accrued ticks first), so the liveness stamps are
+// those the tick would have read on time.
+func (p *Proc) runTicks() {
+	for now := time.Now(); !p.nextTick.After(now); {
+		at := p.nextTick
+		p.nextTick = at.Add(p.opts.TickInterval)
+		p.step(trace.StepTick, model.NoProc, nil, nil, at, func(ctx *liveCtx) { p.auto.Tick(ctx) })
+	}
+}
+
+// nextWake returns when the loop next has work without an event: the first
+// tick the automaton says is due, the next beat, or the expiry of the
+// current leader's liveness, whichever comes first.
+func (p *Proc) nextWake() time.Time {
+	leader := p.leaderAt(time.Now())
+	wake := p.beatDue(leader)
+	if k := model.IdleTicks(p.auto, fd.OmegaValue(leader)); k >= 0 {
+		if due := p.nextTick.Add(time.Duration(k) * p.opts.TickInterval); due.Before(wake) {
+			wake = due
+		}
+	}
+	if leader != p.self {
+		if exp := time.Unix(0, p.lastHeard[leader-1].Load()).Add(p.opts.LeaderTimeout + 1); exp.Before(wake) {
+			wake = exp
+		}
+	}
+	return wake
+}
+
+// beatDue returns when the next beat is due under the current leader: a
+// process that trusts itself beats every LeaderTimeout/4, a follower every
+// DegradedAfter/4.
+func (p *Proc) beatDue(leader model.ProcID) time.Time {
+	if p.lastBeat.IsZero() {
+		return p.firstBeat
+	}
+	if leader == p.self {
+		return p.lastBeat.Add(p.opts.LeaderTimeout / 4)
+	}
+	return p.lastBeat.Add(p.opts.DegradedAfter / 4)
+}
+
+// beat sends a Heartbeat to each peer this process beats under leader (the
+// peers with higher IDs if it is itself the leader, its leader otherwise)
+// that no frame went to since the previous beat, and starts the next
+// interval.
+func (p *Proc) beat(leader model.ProcID) {
 	for i, sent := range p.sentSinceBeat {
-		if q := model.ProcID(i + 1); q != p.self && !sent {
+		q := model.ProcID(i + 1)
+		reads := q > p.self
+		if leader != p.self {
+			reads = q == leader
+		}
+		if reads && !sent {
 			_ = p.tr.Send(Frame{From: p.self, To: q, Payload: Heartbeat{}})
 			p.heartbeats.Add(1)
 		}
 		p.sentSinceBeat[i] = false
 	}
+	p.lastBeat = time.Now()
 }
 
 func (p *Proc) handle(f Frame) {
@@ -258,16 +356,17 @@ func (p *Proc) handle(f Frame) {
 	p.opts.Observer.OnDeliver(p.now(), sim.Message{
 		ID: f.ID, From: f.From, To: p.self, Payload: f.Payload, SentAt: f.SentAt,
 	})
-	p.step(trace.StepRecv, f.From, f.Payload, nil, func(ctx *liveCtx) {
+	p.step(trace.StepRecv, f.From, f.Payload, nil, time.Now(), func(ctx *liveCtx) {
 		p.auto.Recv(ctx, f.From, f.Payload)
 	})
 }
 
-// step executes one atomic step: fix the clock and detector value, run the
-// handler, and (when conformance logging is on) append the recorded step —
-// trigger, FD, clock, and emissions — to the StepLog.
-func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, h func(*liveCtx)) {
-	ctx := &liveCtx{p: p, t: p.now(), leader: p.leader()}
+// step executes one atomic step at wall instant at: fix the clock and
+// detector value, run the handler, and (when conformance logging is on)
+// append the recorded step — trigger, FD, clock, and emissions — to the
+// StepLog.
+func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, at time.Time, h func(*liveCtx)) {
+	ctx := &liveCtx{p: p, t: p.clock(at), leader: p.leaderAt(at)}
 	// Ω flap accounting: prevLeader is touched only here, inside the
 	// single-threaded event loop; the counter is atomic so /metrics can read
 	// it from a scraping goroutine. The init step seeds without counting.
@@ -289,10 +388,11 @@ func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, h f
 	}
 }
 
-// leader is the heartbeat Ω: the smallest-ID process believed alive (itself,
-// or a peer any frame was received from within LeaderTimeout).
-func (p *Proc) leader() model.ProcID {
-	cutoff := time.Now().Add(-p.opts.LeaderTimeout).UnixNano()
+// leaderAt is the heartbeat Ω at wall instant at: the smallest-ID process
+// believed alive (itself, or a peer any frame was received from within
+// LeaderTimeout before at).
+func (p *Proc) leaderAt(at time.Time) model.ProcID {
+	cutoff := at.Add(-p.opts.LeaderTimeout).UnixNano()
 	for _, q := range model.Procs(p.n) {
 		if q == p.self {
 			return q

@@ -4,9 +4,10 @@
 // paper's model. It also provides the one failure detector that is actually
 // IMPLEMENTED from message passing rather than read from an oracle: a
 // heartbeat-based Ω (a process trusts the smallest-ID process it has heard
-// any frame from within LeaderTimeout, and sends Heartbeat only into links
-// that would otherwise stay silent), which is how Ω is realized in practice
-// under partial synchrony.
+// any frame from within LeaderTimeout; only a process that trusts itself
+// beats all peers with higher IDs, a follower beats only its leader, and
+// neither beats a link that carried a frame since its previous beat), which
+// is how Ω is realized in practice under partial synchrony.
 //
 // The package splits into three layers:
 //
@@ -20,7 +21,10 @@
 //
 //   - Proc (proc.go): the per-process event loop — ticks, heartbeat Ω,
 //     local operations, frame reception — written against Transport only,
-//     so the SAME automaton binary runs over any wire.
+//     so the SAME automaton binary runs over any wire. It wakes only for
+//     due work: one timer, set to the first tick the automaton (a
+//     model.Waker) says is due, the next beat, or the leader's liveness
+//     expiry; ticks with nothing to do run late, just before the next step.
 //
 //   - Cluster (this file): n Procs over a ChanNetwork, the in-process
 //     deployment.
@@ -48,13 +52,22 @@ const DefaultLeaderTimeout = 20 * time.Millisecond
 
 // Options configure a live process (and, via NewCluster, a live cluster).
 type Options struct {
-	// TickInterval is the λ-step period of every process. Default 2ms.
+	// TickInterval is the λ-step period of every process. Default 2ms. Every
+	// tick runs, but one that a model.Waker automaton reports as idle runs
+	// late, just before the process's next step (see Proc).
 	TickInterval time.Duration
 	// LeaderTimeout is how long without any frame from a peer before a
 	// process stops trusting it. Default DefaultLeaderTimeout. It also paces
-	// the heartbeats: a beat runs every LeaderTimeout/4, and sends Heartbeat
-	// to each peer no frame went to since the previous beat.
+	// a self-trusting process's heartbeats: it beats every LeaderTimeout/4,
+	// sending Heartbeat to each peer with a higher ID that no frame went to
+	// since the previous beat.
 	LeaderTimeout time.Duration
+	// DegradedAfter is the peer-silence window a leader's degraded-mode
+	// check reads (internal/node; see Proc.PeersHeard). It paces a
+	// follower's heartbeats: a process that trusts another beats only that
+	// leader, every DegradedAfter/4, so the leader hears each follower at
+	// least every DegradedAfter/2. Default LeaderTimeout.
+	DegradedAfter time.Duration
 	// Delay, if non-nil, returns the artificial link delay per message
 	// (ChanNetwork fabrics only; wire transports have real delays).
 	Delay func(from, to model.ProcID) time.Duration
@@ -94,6 +107,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaderTimeout <= 0 {
 		o.LeaderTimeout = DefaultLeaderTimeout
+	}
+	if o.DegradedAfter <= 0 {
+		o.DegradedAfter = o.LeaderTimeout
 	}
 	if o.InboxSize <= 0 {
 		o.InboxSize = 8192

@@ -24,12 +24,15 @@ type Frame struct {
 	Payload any
 }
 
-// Heartbeat is the Ω heartbeat frame: a Proc sends one to a peer only at a
-// beat (every LeaderTimeout/4) with no other frame sent to that peer since
-// the previous beat, so a live link is silent for at most two beats, half a
-// timeout. It is exported (and gob-encodable) so that wire transports can
-// carry it between real processes; the Proc loop intercepts it before the
-// automaton ever sees it.
+// Heartbeat is the Ω heartbeat frame. A Proc sends one only to a peer that
+// reads it, and only at a beat with no other frame sent to that peer since
+// the previous beat: a process that trusts itself beats each peer with a
+// higher ID every LeaderTimeout/4, and a follower beats its leader every
+// DegradedAfter/4 (see Options). Followers never beat each other, so an
+// idle cluster carries heartbeats on 2(n−1) links, not n(n−1). It is
+// exported (and gob-encodable) so that wire transports can carry it between
+// real processes; the Proc loop intercepts it before the automaton ever sees
+// it.
 type Heartbeat struct{}
 
 // Transport is one process's endpoint of the cluster fabric: it can address

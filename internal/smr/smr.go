@@ -135,6 +135,11 @@ func (r *Replica) Init(ctx model.Context) { r.inner.Init(replicaCtx{ctx, r}) }
 // Tick implements model.Automaton.
 func (r *Replica) Tick(ctx model.Context) { r.inner.Tick(replicaCtx{ctx, r}) }
 
+// IdleTicks implements model.Waker with the inner protocol's answer: the
+// replica itself does nothing on a tick. A protocol that is not a Waker
+// (the Paxos log) gets 0 and keeps ticking every TickInterval.
+func (r *Replica) IdleTicks(fd any) int64 { return model.IdleTicks(r.inner, fd) }
+
 // Recv implements model.Automaton.
 func (r *Replica) Recv(ctx model.Context, from model.ProcID, payload any) {
 	r.inner.Recv(replicaCtx{ctx, r}, from, payload)
