@@ -21,6 +21,8 @@
 // late edge — an edge added to a node that already existed, such as a
 // placeholder dependency whose own dependencies arrive later — and those
 // are written copy-on-write, so a snapshot never observes a later update.
+// Since no predecessor list is written below its length, a node merged from
+// another graph shares that graph's list instead of copying it.
 // The string→position index is rebuilt lazily on clones, and only if the
 // clone is itself mutated or queried by ID; the union path walks positions
 // directly and never needs it.
@@ -54,6 +56,8 @@ type Graph struct {
 	late   int      // edges added to a node that already existed
 	shared int      // preds[:shared] may be seen by a clone: written copy-on-write
 	cow    bool     // the preds array itself is still shared with a clone
+
+	ks kahnScratch // kahn's buffers, reused across calls; a clone starts with none
 }
 
 // lineage identifies one append-only chain of snapshots. It has a field so
@@ -107,8 +111,30 @@ func (g *Graph) Add(m string, deps []string) {
 // edge that is new to the graph). Callers that track which messages have
 // causal successors hook onNewEdge instead of diffing dependency snapshots.
 func (g *Graph) AddReporting(m string, deps []string, onNewEdge func(dep string)) {
+	g.add(m, deps, false, onNewEdge)
+}
+
+// add is AddReporting. A new node's predecessor list takes one allocation,
+// sized to deps, or none if share is set and deps names neither m nor any
+// node twice: then the list is deps itself, clipped. MergeSince shares
+// another graph's lists this way, because no graph writes a list below its
+// length (see addPred).
+func (g *Graph) add(m string, deps []string, share bool, onNewEdge func(dep string)) {
 	g.ensureIndex()
 	mi, fresh := g.addNode(m)
+	if fresh && share && distinct(m, deps) {
+		g.preds[mi] = deps[:len(deps):len(deps)]
+		for _, d := range deps {
+			g.addNode(d)
+			if onNewEdge != nil {
+				onNewEdge(d)
+			}
+		}
+		return
+	}
+	if fresh && len(deps) > 0 {
+		g.preds[mi] = make([]string, 0, len(deps))
+	}
 	for _, d := range deps {
 		g.addNode(d)
 		if d == m {
@@ -185,7 +211,7 @@ func (g *Graph) MergeSince(other *Graph, m Mark, onNewEdge func(dep string)) Mar
 		}
 	}
 	for i := start; i < len(other.nodes); i++ {
-		g.AddReporting(other.nodes[i], other.preds[i], onNewEdge)
+		g.add(other.nodes[i], other.preds[i], true, onNewEdge)
 	}
 	return other.Mark()
 }
@@ -309,11 +335,34 @@ func (g *Graph) ExtendSince(seq []string, m Mark) ([]string, error) {
 		return g.Extend(seq)
 	}
 	g.ensureIndex()
-	missing := make([]int, len(g.nodes)-m.n)
-	for s := range missing {
-		missing[s] = m.n + s
+	if len(g.nodes) == m.n+1 && g.depsPlaced(m.n) {
+		// The usual update: one new node, after all of its predecessors.
+		return append(seq, g.nodes[m.n]), nil
 	}
+	missing := g.ks.missing[:0]
+	for p := m.n; p < len(g.nodes); p++ {
+		missing = append(missing, p)
+	}
+	g.ks.missing = missing
 	return g.kahn(seq, missing, func(p int) int { return p - m.n })
+}
+
+// depsPlaced reports whether every predecessor of the node at position p is
+// a node at an earlier position. g's index must be built.
+func (g *Graph) depsPlaced(p int) bool {
+	for _, d := range g.preds[p] {
+		if q, ok := g.index[d]; !ok || q >= p {
+			return false
+		}
+	}
+	return true
+}
+
+// kahnScratch holds kahn's per-call buffers, so that a call allocates only
+// when it places more nodes than any call before it.
+type kahnScratch struct {
+	missing, indeg, ready []int
+	succs                 [][]int
 }
 
 // kahn appends the nodes at positions missing to out in topological order,
@@ -321,8 +370,14 @@ func (g *Graph) ExtendSince(seq []string, m Mark) ([]string, error) {
 // position to its index in missing, or to a negative number if that node is
 // already placed. g's index must be built.
 func (g *Graph) kahn(out []string, missing []int, slotOf func(pos int) int) ([]string, error) {
-	indeg := make([]int, len(missing))
-	succs := make([][]int, len(missing))
+	ks := &g.ks
+	indeg := slices.Grow(ks.indeg[:0], len(missing))[:len(missing)]
+	clear(indeg)
+	succs := slices.Grow(ks.succs[:0], len(missing))[:len(missing)]
+	for s := range succs {
+		succs[s] = succs[s][:0]
+	}
+	ks.indeg, ks.succs = indeg, succs
 	for s, p := range missing {
 		for _, d := range g.preds[p] {
 			q, ok := g.index[d]
@@ -336,12 +391,13 @@ func (g *Graph) kahn(out []string, missing []int, slotOf func(pos int) int) ([]s
 		}
 	}
 	name := func(s int) string { return g.nodes[missing[s]] }
-	var ready []int // slots with no unplaced predecessor, sorted by name
+	// ready[head:] are the slots with no unplaced predecessor, sorted by name.
+	ready, head := ks.ready[:0], 0
 	push := func(s int) {
-		i, _ := slices.BinarySearchFunc(ready, name(s), func(r int, key string) int {
+		i, _ := slices.BinarySearchFunc(ready[head:], name(s), func(r int, key string) int {
 			return strings.Compare(name(r), key)
 		})
-		ready = slices.Insert(ready, i, s)
+		ready = slices.Insert(ready, head+i, s)
 	}
 	for s := range missing {
 		if indeg[s] == 0 {
@@ -349,9 +405,9 @@ func (g *Graph) kahn(out []string, missing []int, slotOf func(pos int) int) ([]s
 		}
 	}
 	placed := 0
-	for len(ready) > 0 {
-		s := ready[0]
-		ready = ready[1:]
+	for head < len(ready) {
+		s := ready[head]
+		head++
 		out = append(out, name(s))
 		placed++
 		for _, t := range succs[s] {
@@ -360,6 +416,7 @@ func (g *Graph) kahn(out []string, missing []int, slotOf func(pos int) int) ([]s
 			}
 		}
 	}
+	ks.ready = ready
 	if placed != len(missing) {
 		return nil, fmt.Errorf("causal: dependency cycle among %d messages", len(missing)-placed)
 	}
@@ -395,6 +452,16 @@ func (g *Graph) String() string {
 		fmt.Fprintf(&b, "%s<-{%s}", m, strings.Join(deps, ","))
 	}
 	return b.String()
+}
+
+// distinct reports whether deps holds neither m nor any ID twice.
+func distinct(m string, deps []string) bool {
+	for i, d := range deps {
+		if d == m || containsStr(deps[:i], d) {
+			return false
+		}
+	}
+	return true
 }
 
 func containsStr(xs []string, x string) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -75,6 +76,28 @@ func TestCleanNetworkRetransmitCost(t *testing.T) {
 	}
 }
 
+// maxAllocsPerWrite is the allocation budget of the deployed stack per
+// write on the clean run: one cleanStackRun, kernel and harness included,
+// divided by its writes. It read 62.7 when each layer allocated its step
+// context, each edge grew its node's predecessor list, each extension ran
+// Kahn on fresh buffers and each apply split its command into a new slice;
+// it reads about 18 without them. What remains per write:
+//   - payload boxing: Data and Ack per update copy, PromoteMsg per promote,
+//     SeqSnapshot per adopted promote, Applied per apply;
+//   - one Graph.Clone per broadcast, and one predecessor list per node;
+//   - the command ID and its BroadcastInput box;
+//   - the harness: its recorder, Submit and the Sprintf of each command.
+const maxAllocsPerWrite = 30
+
+// TestReplicaStackAllocBudget pins maxAllocsPerWrite.
+func TestReplicaStackAllocBudget(t *testing.T) {
+	const writes = 300
+	allocs := testing.AllocsPerRun(1, func() { cleanStackRun(1, writes) })
+	if per := allocs / writes; per > maxAllocsPerWrite {
+		t.Errorf("clean stack run: %.1f allocations per write, want at most %d", per, maxAllocsPerWrite)
+	}
+}
+
 // leaderPromotes is how many promotes the leader p1 has broadcast: each is
 // one raw promote per process.
 func leaderPromotes(svc *SimService) int64 {
@@ -107,17 +130,25 @@ func visibleP50Ticks(svc *SimService) float64 {
 
 // BenchmarkReplicaStackClean reports the clean-network message cost per
 // write (msgs/op, resends/op, and the leader's promote broadcasts,
-// promotes/op) and the median write-to-visible-everywhere latency
-// (visible-p50-ticks) next to its wall time, so a return of spurious
-// resends, of per-tick promotes or of the leader's wait for its tick shows
-// in benchmark logs.
+// promotes/op), the median write-to-visible-everywhere latency
+// (visible-p50-ticks) and the stack run's allocations per write
+// (allocs/write, budgeted by TestReplicaStackAllocBudget) next to its wall
+// time, so a return of spurious resends, of per-tick promotes, of the
+// leader's wait for its tick or of per-step allocation shows in benchmark
+// logs.
 func BenchmarkReplicaStackClean(b *testing.B) {
 	const writes = 300
 	b.ReportAllocs()
 	var msgs, resends, promotes int64
 	var visible float64
+	var mallocs uint64
+	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
 		svc, ok, r := cleanStackRun(1, writes)
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
 		if !ok {
 			b.Fatal("clean-network stack did not converge")
 		}
@@ -131,4 +162,5 @@ func BenchmarkReplicaStackClean(b *testing.B) {
 	b.ReportMetric(float64(resends)/ops, "resends/op")
 	b.ReportMetric(float64(promotes)/ops, "promotes/op")
 	b.ReportMetric(visible/float64(b.N), "visible-p50-ticks")
+	b.ReportMetric(float64(mallocs)/ops, "allocs/write")
 }

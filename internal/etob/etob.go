@@ -114,6 +114,7 @@ type Automaton struct {
 	// costs the frontier's size, not CG_i's.
 	front  map[string]struct{}
 	synced int
+	deps   []string // C(m) scratch for the broadcast in progress (see resolveDeps)
 
 	marks    map[model.ProcID]causal.Mark // per sender: how much of its CG_j is merged
 	promoted causal.Mark                  // CG_i's mark when promote_i was last extended
@@ -337,17 +338,19 @@ func (a *Automaton) sendPromote(ctx model.Context) {
 func (a *Automaton) PromotesSent() int64 { return a.promotesSent }
 
 // resolveDeps returns C(m) for a broadcast: the causal frontier for nil
-// deps, otherwise the explicit deps that CG_i holds (see Input).
+// deps, otherwise the explicit deps that CG_i holds (see Input). The result
+// is scratch, valid until the next call: causal.Graph copies what it keeps.
 func (a *Automaton) resolveDeps(deps []string) []string {
 	if deps == nil {
 		return a.frontier()
 	}
-	known := make([]string, 0, len(deps))
+	known := a.deps[:0]
 	for _, d := range deps {
 		if a.cg.Has(d) {
 			known = append(known, d)
 		}
 	}
+	a.deps = known
 	return known
 }
 
@@ -406,13 +409,15 @@ func (a *Automaton) updatePromote() bool {
 }
 
 // frontier returns the causal frontier: all known messages with no known
-// successor, in deterministic (sorted) order. Used as the default C(m).
+// successor, in deterministic (sorted) order. Used as the default C(m). The
+// result is scratch, like resolveDeps'.
 func (a *Automaton) frontier() []string {
-	out := make([]string, 0, len(a.front))
+	out := a.deps[:0]
 	for m := range a.front {
 		out = append(out, m)
 	}
 	sort.Strings(out)
+	a.deps = out
 	return out
 }
 

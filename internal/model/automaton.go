@@ -12,7 +12,12 @@ package model
 // CHT step-by-step simulation (internal/cht).
 
 // Context is the environment an automaton sees during a single step.
-// Implementations are only valid for the duration of the step.
+// Implementations are only valid for the duration of the step: the kernel,
+// the live runtime and every wrapping layer (internal/retransmit,
+// internal/smr) keep one context value each and reset it for every step, so
+// nothing is allocated per step. An automaton must therefore not keep a
+// Context, or a context a wrapper derived from it, past the step: a kept one
+// silently reads and acts as whatever step runs next.
 type Context interface {
 	// Self returns the ID of the process taking the step.
 	Self() ProcID

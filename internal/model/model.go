@@ -12,6 +12,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -27,7 +28,7 @@ func (p ProcID) String() string {
 	if p == NoProc {
 		return "p?"
 	}
-	return fmt.Sprintf("p%d", int(p))
+	return "p" + strconv.Itoa(int(p))
 }
 
 // Time is a tick of the discrete global clock to which processes have no

@@ -317,7 +317,10 @@ func (e *rttEst) backedOff(d int64) {
 	}
 }
 
-// Automaton is the retransmission wrapper around one inner automaton.
+// Automaton is the retransmission wrapper around one inner automaton. It
+// hands the inner automaton the same wrapper context on every step, reset
+// for the step (see wrap), so the inner automaton must not keep its Context
+// past the step.
 type Automaton struct {
 	self  model.ProcID
 	n     int
@@ -342,6 +345,8 @@ type Automaton struct {
 	lastHeard []int64 // index q-1: tick of last message from q, any epoch
 	cappedAt  int     // attempt count at which backoff reaches the MaxRTO cap
 	abandoned int64
+
+	wc wrapCtx // the inner automaton's context, reset per step (see wrap)
 }
 
 var _ model.Automaton = (*Automaton)(nil)
@@ -416,12 +421,12 @@ func (a *Automaton) Init(ctx model.Context) {
 	for d := int64(a.opts.RTO); d < int64(a.opts.MaxRTO); d *= 2 {
 		a.cappedAt++
 	}
-	a.inner.Init(&wrapCtx{ctx: ctx, a: a})
+	a.inner.Init(a.wrap(ctx))
 }
 
 // Input implements model.Automaton.
 func (a *Automaton) Input(ctx model.Context, in any) {
-	a.inner.Input(&wrapCtx{ctx: ctx, a: a}, in)
+	a.inner.Input(a.wrap(ctx), in)
 }
 
 // Recv implements model.Automaton.
@@ -442,7 +447,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 			a.dupes++
 			return
 		}
-		a.inner.Recv(&wrapCtx{ctx: ctx, a: a}, from, m.Payload)
+		a.inner.Recv(a.wrap(ctx), from, m.Payload)
 	case Ack:
 		a.heard(from)
 		if m.Epoch != a.epoch {
@@ -465,7 +470,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 		// A raw payload: a self-send, a Repeated payload, or one from a
 		// peer outside the retransmission layer.
 		a.heard(from)
-		a.inner.Recv(&wrapCtx{ctx: ctx, a: a}, from, payload)
+		a.inner.Recv(a.wrap(ctx), from, payload)
 	}
 }
 
@@ -476,7 +481,7 @@ func (a *Automaton) Tick(ctx model.Context) {
 	if a.heap.len() > 0 && a.heap.peekDue() <= a.ticks {
 		a.resendDue(ctx)
 	}
-	a.inner.Tick(&wrapCtx{ctx: ctx, a: a})
+	a.inner.Tick(a.wrap(ctx))
 }
 
 // IdleTicks implements model.Waker: the coming ticks before the earlier of
@@ -613,6 +618,14 @@ func isRepeated(payload any) bool {
 	return ok
 }
 
+// wrap resets the inner automaton's context for a step taken under ctx and
+// returns it. Steps never nest (kernels queue self-sends), so one serves
+// them all.
+func (a *Automaton) wrap(ctx model.Context) *wrapCtx {
+	a.wc = wrapCtx{ctx: ctx, a: a}
+	return &a.wc
+}
+
 // wrapCtx intercepts the inner automaton's sends; everything else passes
 // through to the kernel's context.
 type wrapCtx struct {
@@ -642,7 +655,7 @@ func (c *wrapCtx) Broadcast(payload any) {
 	// The paper's broadcast is n sends (including self); each peer copy of
 	// an enveloped payload gets its own envelope, so acks and resends are
 	// per-recipient.
-	for _, q := range model.Procs(c.a.n) {
+	for q := model.ProcID(1); int(q) <= c.a.n; q++ {
 		c.a.sendData(c.ctx, q, payload)
 	}
 }

@@ -87,6 +87,7 @@ type Proc struct {
 	nextTick      time.Time    // event-loop-local: the first tick not yet run
 	lastBeat      time.Time    // event-loop-local: the previous beat; zero before the first
 	firstBeat     time.Time    // event-loop-local: when the first beat is due
+	ctx           liveCtx      // event-loop-local: the step context, reset per step
 	flaps         atomic.Int64 // Ω output changes observed across steps
 	heartbeats    atomic.Int64 // Heartbeat frames sent
 	wakeups       atomic.Int64 // timer wake-ups taken
@@ -364,9 +365,12 @@ func (p *Proc) handle(f Frame) {
 // step executes one atomic step at wall instant at: fix the clock and
 // detector value, run the handler, and (when conformance logging is on)
 // append the recorded step — trigger, FD, clock, and emissions — to the
-// StepLog.
+// StepLog. Steps never nest (self-sends wait in selfQ), so one context
+// serves every step, as the kernel's does; the automaton may not keep it
+// past the step (see model.Context). The step record is the step's own.
 func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, at time.Time, h func(*liveCtx)) {
-	ctx := &liveCtx{p: p, t: p.clock(at), leader: p.leaderAt(at)}
+	ctx := &p.ctx
+	*ctx = liveCtx{p: p, t: p.clock(at), leader: p.leaderAt(at)}
 	// Ω flap accounting: prevLeader is touched only here, inside the
 	// single-threaded event loop; the counter is atomic so /metrics can read
 	// it from a scraping goroutine. The init step seeds without counting.
@@ -393,7 +397,7 @@ func (p *Proc) step(kind trace.StepKind, from model.ProcID, payload, in any, at 
 // LeaderTimeout before at).
 func (p *Proc) leaderAt(at time.Time) model.ProcID {
 	cutoff := at.Add(-p.opts.LeaderTimeout).UnixNano()
-	for _, q := range model.Procs(p.n) {
+	for q := model.ProcID(1); int(q) <= p.n; q++ {
 		if q == p.self {
 			return q
 		}
@@ -423,7 +427,7 @@ func (p *Proc) sendProto(to model.ProcID, payload any) {
 	_ = p.tr.Send(f)
 }
 
-// liveCtx implements model.Context for one live step.
+// liveCtx implements model.Context for one live step (see step).
 type liveCtx struct {
 	p      *Proc
 	t      model.Time
@@ -446,7 +450,7 @@ func (c *liveCtx) Send(to model.ProcID, payload any) {
 }
 
 func (c *liveCtx) Broadcast(payload any) {
-	for _, q := range model.Procs(c.p.n) {
+	for q := model.ProcID(1); int(q) <= c.p.n; q++ {
 		c.Send(q, payload)
 	}
 }

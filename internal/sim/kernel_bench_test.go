@@ -10,12 +10,15 @@ import (
 
 // benchKernel drives one echo-protocol run to completion; the per-op cost is
 // dominated by the kernel's event loop (heap ops, step contexts, sends).
+// The quiet echo automaton allocates nothing, so allocs/op is the kernel's:
+// mostly building a fresh kernel and warming its recipient pool
+// (grabRecips), which each op does once.
 func benchKernel(b *testing.B, opts Options) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fp := model.NewFailurePattern(8)
 		det := fd.NewOmegaStable(fp, 1)
-		k := New(fp, det, echoFactory(), opts)
+		k := New(fp, det, quietEchoFactory(), opts)
 		k.ScheduleInput(1, 60, "go")
 		k.Run(5000)
 		if k.Steps() == 0 {
@@ -157,7 +160,7 @@ func BenchmarkKernelSigmaFD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fp := model.NewFailurePattern(8)
 		det := fd.NewOmegaSigma(fd.NewOmegaStable(fp, 1), fd.NewSigma(fp, 0))
-		k := New(fp, det, echoFactory(), Options{Seed: 1, MinDelay: 3, MaxDelay: 30})
+		k := New(fp, det, quietEchoFactory(), Options{Seed: 1, MinDelay: 3, MaxDelay: 30})
 		k.ScheduleInput(1, 60, "go")
 		k.Run(5000)
 		if k.Steps() == 0 {

@@ -7,11 +7,14 @@ import (
 	"repro/internal/model"
 )
 
-// echoAuto broadcasts "hello" on its first tick and counts everything it
-// receives; it re-echoes each "hello" once as "reply".
+// echoAuto broadcasts "hello" on its first tick and records everything it
+// receives and every leader its ticks see; it re-echoes each "hello" once as
+// "reply". A quiet echoAuto records nothing, so that a benchmark of the
+// kernel does not measure the growth of these logs.
 type echoAuto struct {
 	self     model.ProcID
 	sent     bool
+	quiet    bool
 	received []string
 	leaders  []model.ProcID
 }
@@ -19,7 +22,7 @@ type echoAuto struct {
 func (e *echoAuto) Init(model.Context) {}
 
 func (e *echoAuto) Tick(ctx model.Context) {
-	if l, ok := fd.LeaderOf(ctx.FD()); ok {
+	if l, ok := fd.LeaderOf(ctx.FD()); ok && !e.quiet {
 		e.leaders = append(e.leaders, l)
 	}
 	if !e.sent {
@@ -30,7 +33,9 @@ func (e *echoAuto) Tick(ctx model.Context) {
 
 func (e *echoAuto) Recv(ctx model.Context, from model.ProcID, payload any) {
 	s, _ := payload.(string)
-	e.received = append(e.received, s)
+	if !e.quiet {
+		e.received = append(e.received, s)
+	}
 	if s == "hello" && from != e.self {
 		ctx.Send(from, "reply")
 	}
@@ -65,6 +70,11 @@ func (o *countObs) OnInput(model.ProcID, model.Time, any) { o.inputs++ }
 
 func echoFactory() model.AutomatonFactory {
 	return func(p model.ProcID, n int) model.Automaton { return &echoAuto{self: p} }
+}
+
+// quietEchoFactory is echoFactory for benchmarks (see echoAuto).
+func quietEchoFactory() model.AutomatonFactory {
+	return func(p model.ProcID, n int) model.Automaton { return &echoAuto{self: p, quiet: true} }
 }
 
 func TestKernelBasicRun(t *testing.T) {

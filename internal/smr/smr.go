@@ -22,11 +22,12 @@
 package smr
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/model"
 )
@@ -87,22 +88,28 @@ func DecodeCommand(id string) (string, bool) {
 // keeps all of it as a prefix the replica applies the rest, and only when it
 // does not (a reorder, which ETOB allows only before τ) does it rebuild the
 // machine and replay all of Seq.
+//
+// The replica hands the inner protocol the same intercepting context on
+// every step, reset for the step (see ctx), so the inner protocol must not
+// keep its Context past the step.
 type Replica struct {
 	self    model.ProcID
 	inner   model.Automaton
 	factory MachineFactory
 
-	machine StateMachine
-	applied []string // the inner protocol's last emitted d_i, all applied
-	seq     int64
-	rebuilt int
+	machine  StateMachine
+	applied  []string // the inner protocol's last emitted d_i, all applied
+	seq      int64
+	idPrefix string // "<self>.": the uniq part of a command ID, before seq
+	rebuilt  int
+	rc       replicaCtx // the inner protocol's context, reset per step (see ctx)
 }
 
 var _ model.Automaton = (*Replica)(nil)
 
 // NewReplica wraps the broadcast automaton with a state machine.
 func NewReplica(p model.ProcID, inner model.Automaton, factory MachineFactory) *Replica {
-	return &Replica{self: p, inner: inner, factory: factory, machine: factory()}
+	return &Replica{self: p, inner: inner, factory: factory, machine: factory(), idPrefix: p.String() + "."}
 }
 
 // ReplicaFactory composes a broadcast factory with a machine factory.
@@ -118,7 +125,15 @@ type replicaCtx struct {
 	r *Replica
 }
 
-func (c replicaCtx) Output(v any) {
+// ctx resets the inner protocol's context for a step taken under c and
+// returns it. Steps never nest (kernels queue self-sends), so one serves
+// them all.
+func (r *Replica) ctx(c model.Context) *replicaCtx {
+	r.rc = replicaCtx{c, r}
+	return &r.rc
+}
+
+func (c *replicaCtx) Output(v any) {
 	if snap, ok := v.(model.SeqSnapshot); ok {
 		// Pass the raw d_i evolution through (recorders and the (E)TOB
 		// property checkers need it), then reconcile the machine.
@@ -130,10 +145,10 @@ func (c replicaCtx) Output(v any) {
 }
 
 // Init implements model.Automaton.
-func (r *Replica) Init(ctx model.Context) { r.inner.Init(replicaCtx{ctx, r}) }
+func (r *Replica) Init(ctx model.Context) { r.inner.Init(r.ctx(ctx)) }
 
 // Tick implements model.Automaton.
-func (r *Replica) Tick(ctx model.Context) { r.inner.Tick(replicaCtx{ctx, r}) }
+func (r *Replica) Tick(ctx model.Context) { r.inner.Tick(r.ctx(ctx)) }
 
 // IdleTicks implements model.Waker with the inner protocol's answer: the
 // replica itself does nothing on a tick. A protocol that is not a Waker
@@ -142,7 +157,7 @@ func (r *Replica) IdleTicks(fd any) int64 { return model.IdleTicks(r.inner, fd) 
 
 // Recv implements model.Automaton.
 func (r *Replica) Recv(ctx model.Context, from model.ProcID, payload any) {
-	r.inner.Recv(replicaCtx{ctx, r}, from, payload)
+	r.inner.Recv(r.ctx(ctx), from, payload)
 }
 
 // Input implements model.Automaton: a Command is broadcast with a unique ID;
@@ -150,14 +165,17 @@ func (r *Replica) Recv(ctx model.Context, from model.ProcID, payload any) {
 func (r *Replica) Input(ctx model.Context, in any) {
 	if cmd, ok := in.(Command); ok {
 		r.seq++
-		id := EncodeCommand(fmt.Sprintf("%v.%d", r.self, r.seq), cmd.Cmd)
+		// The ID takes one allocation, and its input one box.
+		var num [20]byte
+		id := EncodeCommand(r.idPrefix+string(strconv.AppendInt(num[:0], r.seq, 10)), cmd.Cmd)
+		bi := any(model.BroadcastInput{ID: id})
 		// Announce the generated broadcast so recorders see the full input
 		// history (the raw input was a Command, not a BroadcastInput).
-		ctx.Output(model.BroadcastInput{ID: id})
-		r.inner.Input(replicaCtx{ctx, r}, model.BroadcastInput{ID: id})
+		ctx.Output(bi)
+		r.inner.Input(r.ctx(ctx), bi)
 		return
 	}
-	r.inner.Input(replicaCtx{ctx, r}, in)
+	r.inner.Input(r.ctx(ctx), in)
 }
 
 // onDelivered reconciles the machine with the newly delivered sequence:
@@ -202,6 +220,54 @@ func (r *Replica) Rebuilds() int { return r.rebuilt }
 // ---------------------------------------------------------------------------
 // State machines
 // ---------------------------------------------------------------------------
+
+// fields is a command being split into whitespace-separated fields the way
+// strings.Fields splits it (on unicode.IsSpace runes), without allocating:
+// each field is a substring of the command.
+type fields string
+
+// next removes and returns the first field, or "" if none is left.
+func (f *fields) next() string {
+	s := string(*f)
+	i := span(s, true)
+	j := i + span(s[i:], false)
+	*f = fields(s[j:])
+	return s[i:j]
+}
+
+// span returns the length of the longest prefix of s whose runes all are
+// (space) or all are not (!space) unicode.IsSpace runes.
+func span(s string, space bool) int {
+	for i := 0; i < len(s); {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += w
+	}
+	return len(s)
+}
+
+// rest returns the fields left joined by single spaces, as
+// strings.Join(strings.Fields(rest), " ") does, and "" if none is left. It
+// is a substring unless some separator is not a single ASCII space.
+func (f fields) rest() string {
+	s := string(f)
+	start, end := -1, 0
+	for w := f.next(); w != ""; w = f.next() {
+		e := len(s) - len(f)
+		if b := e - len(w); start < 0 {
+			start = b
+		} else if b != end+1 || s[end] != ' ' {
+			return strings.Join(strings.Fields(s), " ")
+		}
+		end = e
+	}
+	return s[max(start, 0):end]
+}
 
 // index holds a key-value machine's entries twice: in a map, for O(1)
 // lookup, and in key order, so that Snapshot walks them once without
@@ -261,30 +327,33 @@ func NewKVStore() *KVStore { return &KVStore{} }
 // KVFactory is a MachineFactory for KVStore.
 func KVFactory() StateMachine { return NewKVStore() }
 
-// Apply implements StateMachine.
+// Apply implements StateMachine. A value is every field after the key,
+// joined by single spaces.
 func (s *KVStore) Apply(cmd string) string {
-	f := strings.Fields(cmd)
-	if len(f) == 0 {
+	f := fields(cmd)
+	op, k := f.next(), f.next()
+	switch op {
+	case "":
 		return "err empty"
-	}
-	switch f[0] {
 	case "set":
-		if len(f) < 3 {
+		v := f.rest()
+		if v == "" {
 			return "err set"
 		}
-		s.kv.at(f[1]).v = strings.Join(f[2:], " ")
+		s.kv.at(k).v = v
 		return "ok"
 	case "del":
-		if len(f) < 2 {
+		if k == "" {
 			return "err del"
 		}
-		s.kv.remove(f[1])
+		s.kv.remove(k)
 		return "ok"
 	case "append":
-		if len(f) < 3 {
+		v := f.rest()
+		if v == "" {
 			return "err append"
 		}
-		s.kv.at(f[1]).v += strings.Join(f[2:], " ")
+		s.kv.at(k).v += v
 		return "ok"
 	default:
 		return "err unknown"
@@ -331,27 +400,29 @@ func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
 // CounterFactory is a MachineFactory for Counter.
 func CounterFactory() StateMachine { return NewCounter() }
 
-// Apply implements StateMachine.
+// Apply implements StateMachine. Fields after the third are ignored, and so
+// is a third field that is not an integer.
 func (c *Counter) Apply(cmd string) string {
-	f := strings.Fields(cmd)
-	if len(f) < 2 {
+	f := fields(cmd)
+	op, name := f.next(), f.next()
+	if name == "" {
 		return "err"
 	}
 	n := int64(1)
-	if len(f) >= 3 {
-		if v, err := strconv.ParseInt(f[2], 10, 64); err == nil {
+	if a := f.next(); a != "" {
+		if v, err := strconv.ParseInt(a, 10, 64); err == nil {
 			n = v
 		}
 	}
-	switch f[0] {
+	switch op {
 	case "inc":
-		c.m[f[1]] += n
+		c.m[name] += n
 	case "dec":
-		c.m[f[1]] -= n
+		c.m[name] -= n
 	default:
 		return "err unknown"
 	}
-	return strconv.FormatInt(c.m[f[1]], 10)
+	return strconv.FormatInt(c.m[name], 10)
 }
 
 // Value returns the current value of a counter.
@@ -364,11 +435,16 @@ func (c *Counter) Snapshot() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, c.m[k]))
+	var b []byte
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, c.m[k], 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // AppendLog is an append-only log machine. Command: any string, appended.
