@@ -1,8 +1,6 @@
 package causal
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -110,12 +108,12 @@ func TestMergeSinceMarks(t *testing.T) {
 	}
 
 	// A decoded graph has no lineage, so even its own mark is no match.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+	b, err := src.AppendWire(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec := new(Graph)
-	if err := gob.NewDecoder(&buf).Decode(dec); err != nil {
+	dec, err := decodeGraph(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h := New()

@@ -32,7 +32,16 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
+
+func init() {
+	wire.Register(SubmitMsg{})
+	wire.Register(PrepareMsg{})
+	wire.Register(PromiseMsg{})
+	wire.Register(AcceptMsg{})
+	wire.Register(AcceptedMsg{})
+}
 
 // QuorumMode selects how phase completion is decided.
 type QuorumMode int
@@ -80,6 +89,85 @@ type AcceptedMsg struct {
 	Ballot   int64
 	Instance int
 	Value    string
+}
+
+// The wire forms (wire.Message) write integers as varints and strings with
+// their length. PromiseMsg writes its map in increasing instance order, so
+// that one message always encodes to the same bytes.
+
+// WireTag implements wire.Message.
+func (SubmitMsg) WireTag() wire.Tag { return wire.TagSubmit }
+
+// AppendWire implements wire.Message.
+func (m SubmitMsg) AppendWire(b []byte) ([]byte, error) { return wire.AppendString(b, m.ID), nil }
+
+// ReadWire implements wire.Message.
+func (SubmitMsg) ReadWire(r *wire.Reader) any { return SubmitMsg{ID: r.Str()} }
+
+// WireTag implements wire.Message.
+func (PrepareMsg) WireTag() wire.Tag { return wire.TagPrepare }
+
+// AppendWire implements wire.Message.
+func (m PrepareMsg) AppendWire(b []byte) ([]byte, error) { return wire.AppendInt(b, m.Ballot), nil }
+
+// ReadWire implements wire.Message.
+func (PrepareMsg) ReadWire(r *wire.Reader) any { return PrepareMsg{Ballot: r.Int()} }
+
+// WireTag implements wire.Message.
+func (PromiseMsg) WireTag() wire.Tag { return wire.TagPromise }
+
+// AppendWire implements wire.Message.
+func (m PromiseMsg) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendUint(wire.AppendInt(b, m.Ballot), uint64(len(m.Accepted)))
+	for _, inst := range slices.Sorted(maps.Keys(m.Accepted)) {
+		bv := m.Accepted[inst]
+		b = wire.AppendString(wire.AppendInt(wire.AppendInt(b, int64(inst)), bv.Ballot), bv.Value)
+	}
+	return b, nil
+}
+
+// ReadWire implements wire.Message. An entry takes at least three bytes.
+func (PromiseMsg) ReadWire(r *wire.Reader) any {
+	m := PromiseMsg{Ballot: r.Int()}
+	if k := r.Count(3); k > 0 {
+		m.Accepted = make(map[int]BallotValue, k)
+		for range k {
+			inst := int(r.Int())
+			m.Accepted[inst] = BallotValue{Ballot: r.Int(), Value: r.Str()}
+		}
+	}
+	return m
+}
+
+// WireTag implements wire.Message.
+func (AcceptMsg) WireTag() wire.Tag { return wire.TagAccept }
+
+// AppendWire implements wire.Message.
+func (m AcceptMsg) AppendWire(b []byte) ([]byte, error) {
+	return appendInstanceVote(b, m.Ballot, m.Instance, m.Value), nil
+}
+
+// ReadWire implements wire.Message.
+func (AcceptMsg) ReadWire(r *wire.Reader) any {
+	return AcceptMsg{Ballot: r.Int(), Instance: int(r.Int()), Value: r.Str()}
+}
+
+// WireTag implements wire.Message.
+func (AcceptedMsg) WireTag() wire.Tag { return wire.TagAccepted }
+
+// AppendWire implements wire.Message.
+func (m AcceptedMsg) AppendWire(b []byte) ([]byte, error) {
+	return appendInstanceVote(b, m.Ballot, m.Instance, m.Value), nil
+}
+
+// ReadWire implements wire.Message.
+func (AcceptedMsg) ReadWire(r *wire.Reader) any {
+	return AcceptedMsg{Ballot: r.Int(), Instance: int(r.Int()), Value: r.Str()}
+}
+
+// appendInstanceVote is the body AcceptMsg and AcceptedMsg share.
+func appendInstanceVote(b []byte, ballot int64, instance int, value string) []byte {
+	return wire.AppendString(wire.AppendInt(wire.AppendInt(b, ballot), int64(instance)), value)
 }
 
 type voteKey struct {

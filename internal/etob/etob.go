@@ -53,7 +53,13 @@ import (
 	"repro/internal/causal"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
+
+func init() {
+	wire.Register(UpdateMsg{})
+	wire.Register(PromoteMsg{})
+}
 
 // UpdateMsg is the update(CG_i) message: the sender's causality graph. CG is
 // an O(1) snapshot (causal.Graph.Clone) that shares storage with the
@@ -62,6 +68,16 @@ import (
 type UpdateMsg struct {
 	CG *causal.Graph
 }
+
+// WireTag implements wire.Message.
+func (UpdateMsg) WireTag() wire.Tag { return wire.TagUpdate }
+
+// AppendWire implements wire.Message: the graph's wire form, written
+// straight into the frame.
+func (m UpdateMsg) AppendWire(b []byte) ([]byte, error) { return m.CG.AppendWire(b) }
+
+// ReadWire implements wire.Message.
+func (UpdateMsg) ReadWire(r *wire.Reader) any { return UpdateMsg{CG: causal.ReadGraph(r)} }
 
 // PromoteMsg is the promote(promote_i) message: the leader's current
 // promotion sequence. Links in the model are reliable but not FIFO, and
@@ -98,6 +114,33 @@ type PromoteMsg struct {
 
 // RepeatedBySender marks PromoteMsg as retransmit.Repeated.
 func (PromoteMsg) RepeatedBySender() {}
+
+// WireTag implements wire.Message.
+func (PromoteMsg) WireTag() wire.Tag { return wire.TagPromote }
+
+// AppendWire implements wire.Message: Counter as a varint, then the count
+// of Seq and its IDs as strings.
+func (m PromoteMsg) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendUint(wire.AppendInt(b, m.Counter), uint64(len(m.Seq)))
+	for _, id := range m.Seq {
+		b = wire.AppendString(b, id)
+	}
+	return b, nil
+}
+
+// ReadWire implements wire.Message. Each ID gets storage of its own rather
+// than being a substring of one shared buffer: a receiver keeps the IDs it
+// applies, and a substring would keep its whole promote alive.
+func (PromoteMsg) ReadWire(r *wire.Reader) any {
+	m := PromoteMsg{Counter: r.Int()}
+	if k := r.Count(1); k > 0 {
+		m.Seq = make([]string, k)
+		for i := range m.Seq {
+			m.Seq[i] = r.Str()
+		}
+	}
+	return m
+}
 
 // Automaton is the per-process automaton of Algorithm 5.
 type Automaton struct {

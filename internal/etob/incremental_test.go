@@ -1,8 +1,6 @@
 package etob
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,6 +10,7 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // sent is one message captured by capCtx.
@@ -112,7 +111,7 @@ func (dp *diffProc) check(t *testing.T, where string) {
 
 // TestIncrementalMatchesFullReference drives three processes through random
 // schedules — reordered, duplicated and stale updates, sender restarts (a new
-// lineage), gob round-tripped updates (no lineage) and explicit deps — and
+// lineage), wire round-tripped updates (no lineage) and explicit deps — and
 // holds each automaton's CG_i, frontier and promote_i to the
 // full-walk reference after every step. It also checks that no update's
 // graph changed between its send and its delivery.
@@ -160,7 +159,7 @@ func TestIncrementalMatchesFullReference(t *testing.T) {
 					t.Fatalf("%s: update from %v changed after send:\n got %s\nwant %s", where, m.from, got, m.cg)
 				}
 				if rng.Intn(5) == 0 {
-					u = UpdateMsg{CG: gobRoundTrip(t, u.CG)}
+					u = UpdateMsg{CG: wireRoundTrip(t, u.CG)}
 				}
 				dp = procs[m.to]
 				where = fmt.Sprintf("seed %d step %d at %v", seed, step, m.to)
@@ -183,14 +182,17 @@ func TestIncrementalMatchesFullReference(t *testing.T) {
 	}
 }
 
-func gobRoundTrip(t *testing.T, g *causal.Graph) *causal.Graph {
+// wireRoundTrip passes g through its wire form, which drops its lineage.
+func wireRoundTrip(t *testing.T, g *causal.Graph) *causal.Graph {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+	b, err := g.AppendWire(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := new(causal.Graph)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+	var r wire.Reader
+	r.Reset(b)
+	out := causal.ReadGraph(&r)
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -6,9 +6,12 @@
 //
 // A Node is what cmd/ecnode boots per replica. Its layers, bottom up:
 //
-//   - runtime.TCPTransport: length-prefixed gob frames over reconnecting
-//     per-peer connections. Delivery is at-most-once; reconnection is the
-//     transport's job.
+//   - runtime.TCPTransport: length-prefixed, self-contained binary frames
+//     over reconnecting per-peer connections. Every wire type registers its
+//     tag and body with package wire when its package is linked in, so the
+//     whole stack's vocabulary (retransmission envelopes, ETOB's messages,
+//     the Paxos log's) is encodable with no setup. Delivery is
+//     at-most-once; reconnection is the transport's job.
 //   - retransmit.Wrap: restores the paper's eventual-delivery assumption over
 //     that lossy wire — and, because a deployable node must not leak against
 //     a peer that is gone for good, enables the sender-side give-up bound
@@ -83,7 +86,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/etob"
 	"repro/internal/model"
@@ -93,23 +95,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smr"
 )
-
-// RegisterProtocolTypes registers the replica stack's full wire vocabulary
-// with the gob codec: retransmission envelopes and the broadcast protocol
-// messages they carry — ETOB's for Eventual replicas, the Paxos log's for
-// Strong ones. Every process of a cluster must call it (node.New does)
-// before frames flow.
-func RegisterProtocolTypes() {
-	runtime.RegisterWireType(retransmit.Data{})
-	runtime.RegisterWireType(retransmit.Ack{})
-	runtime.RegisterWireType(etob.UpdateMsg{})
-	runtime.RegisterWireType(etob.PromoteMsg{})
-	runtime.RegisterWireType(consensus.SubmitMsg{})
-	runtime.RegisterWireType(consensus.PrepareMsg{})
-	runtime.RegisterWireType(consensus.PromiseMsg{})
-	runtime.RegisterWireType(consensus.AcceptMsg{})
-	runtime.RegisterWireType(consensus.AcceptedMsg{})
-}
 
 // DefaultGiveUpTicks is the node's default sender-side persistence bound:
 // with the default 2ms tick this is ~60s of link silence — far above restart
@@ -201,7 +186,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Retransmit != nil {
 		rt = *cfg.Retransmit
 	}
-	RegisterProtocolTypes()
 	tcp, err := runtime.NewTCPTransport(runtime.TCPConfig{Self: cfg.ID, Peers: cfg.Peers})
 	if err != nil {
 		return nil, err

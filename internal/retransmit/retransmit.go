@@ -79,10 +79,17 @@
 package retransmit
 
 import (
+	"errors"
 	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
+
+func init() {
+	wire.Register(Data{})
+	wire.Register(Ack{})
+}
 
 // Data is the envelope carrying an inner-protocol payload. Identity is
 // (sender, Epoch, Seq) on the receiving link — Seq counts the sender
@@ -105,6 +112,29 @@ type Data struct {
 	Payload any
 }
 
+var errNestedData = errors.New("retransmit: envelope inside an envelope")
+
+// WireTag implements wire.Message.
+func (Data) WireTag() wire.Tag { return wire.TagData }
+
+// AppendWire implements wire.Message: Epoch, Seq and Base as varints, then
+// the tagged inner payload. The layer never nests envelopes, and a receiver
+// rejects a nested one, so encoding one is an error.
+func (d Data) AppendWire(b []byte) ([]byte, error) {
+	if _, nested := d.Payload.(Data); nested {
+		return b, errNestedData
+	}
+	b = wire.AppendInt(b, d.Epoch)
+	b = wire.AppendInt(b, d.Seq)
+	b = wire.AppendInt(b, d.Base)
+	return wire.AppendPayload(b, d.Payload)
+}
+
+// ReadWire implements wire.Message.
+func (Data) ReadWire(r *wire.Reader) any {
+	return Data{Epoch: r.Int(), Seq: r.Int(), Base: r.Int(), Payload: r.Payload()}
+}
+
 // Ack acknowledges receipt of the sender's (Epoch, Seq) envelope. Acks are
 // not themselves ack'd: a lost ack just means the data is resent and ack'd
 // again.
@@ -112,6 +142,17 @@ type Ack struct {
 	Epoch int64
 	Seq   int64
 }
+
+// WireTag implements wire.Message.
+func (Ack) WireTag() wire.Tag { return wire.TagAck }
+
+// AppendWire implements wire.Message: Epoch and Seq as varints.
+func (a Ack) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendInt(wire.AppendInt(b, a.Epoch), a.Seq), nil
+}
+
+// ReadWire implements wire.Message.
+func (Ack) ReadWire(r *wire.Reader) any { return Ack{Epoch: r.Int(), Seq: r.Int()} }
 
 // Repeated marks a payload whose sender sends its newest copy again on its
 // own, with no need for an ack: the layer sends it raw (see the package

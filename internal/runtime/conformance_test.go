@@ -30,7 +30,7 @@ func init() {
 // schedule into a StepLog, then replay the log through fresh automata from
 // the SAME factory under the deterministic step discipline and demand
 // identical emissions at every step. Any place the live path forks the
-// automaton semantics — the gob codec mangling a causality graph, the live
+// automaton semantics — the wire codec mangling a causality graph, the live
 // context leaking wall-clock state into a decision, goroutine interleaving
 // bleeding into a handler — shows up as a divergent step.
 func TestTCPTraceConformance(t *testing.T) {

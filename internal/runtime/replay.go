@@ -19,7 +19,7 @@ import (
 // Replay partitions the log per process, rebuilds each automaton from the
 // same factory, and replays its steps single-threaded with the recorded FD
 // and clock values. If any transport, goroutine interleaving, or codec quirk
-// forked the semantics — a gob round trip that mangled a payload, a context
+// forked the semantics — a codec round trip that mangled a payload, a context
 // leaking live state, an automaton consulting a wall clock it shouldn't —
 // the replayed emissions diverge from the recorded ones and Replay reports
 // the first offending step.

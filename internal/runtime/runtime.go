@@ -14,7 +14,8 @@
 //   - Transport (transport.go): the wire. ChanTransport joins in-process
 //     replicas over buffered channels (the reference implementation, used by
 //     Cluster and the examples); TCPTransport (tcp.go) makes replicas
-//     separate OS processes speaking length-prefixed gob frames over
+//     separate OS processes exchanging length-prefixed, self-contained binary
+//     frames (payload types encode themselves through package wire) over
 //     reconnecting per-peer connections (used by internal/node). The
 //     interface's contract spells out each implementation's delivery
 //     guarantees and why lossy ones pair with internal/retransmit.

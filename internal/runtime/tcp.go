@@ -2,89 +2,95 @@ package runtime
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
-func init() {
-	// Heartbeats are the one payload the runtime itself puts on the wire.
-	gob.Register(Heartbeat{})
+func init() { wire.Register(Heartbeat{}) }
+
+// WireTag implements wire.Message.
+func (Heartbeat) WireTag() wire.Tag { return wire.TagHeartbeat }
+
+// AppendWire implements wire.Message: a heartbeat has an empty body.
+func (Heartbeat) AppendWire(b []byte) ([]byte, error) { return b, nil }
+
+// ReadWire implements wire.Message.
+func (Heartbeat) ReadWire(*wire.Reader) any { return Heartbeat{} }
+
+// RegisterWireType registers a payload type with the frame codec. v must
+// implement wire.Message. The protocol packages register their own wire
+// types when they are linked in, so only types defined elsewhere (in tests,
+// say) need this; registering a type again does nothing.
+func RegisterWireType(v any) {
+	m, ok := v.(wire.Message)
+	if !ok {
+		panic(fmt.Sprintf("runtime: %T does not implement wire.Message", v))
+	}
+	wire.Register(m)
 }
 
-// RegisterWireType registers a concrete payload type with the gob codec used
-// by TCPTransport. Every payload type a protocol sends must be registered in
-// each process that sends or receives it (internal/node registers the whole
-// replica stack's vocabulary); unregistered payloads fail at encode time and
-// are counted as drops.
-func RegisterWireType(v any) { gob.Register(v) }
-
-// maxFrameBytes bounds a single decoded frame (defensive: a corrupt length
-// prefix must not allocate unbounded memory).
+// maxFrameBytes bounds a single frame (defensive: a corrupt length prefix
+// must not allocate unbounded memory).
 const maxFrameBytes = 64 << 20
 
-// FrameEncoder is the sending half of one connection's gob stream: each
-// Append adds one length-prefixed frame to the buffer it was made with. The
-// stream's state lives in the encoder, so one encoder serves exactly one
-// connection, from its first byte.
-type FrameEncoder struct {
-	buf *bytes.Buffer
-	enc *gob.Encoder
-}
+var (
+	errCorruptFrame  = errors.New("runtime: corrupt frame stream")
+	errFrameTooLarge = errors.New("runtime: frame exceeds the size bound")
+)
 
-// NewFrameEncoder starts a stream whose frames are appended to buf. The
-// caller may Reset buf between flushes; the stream continues.
-func NewFrameEncoder(buf *bytes.Buffer) *FrameEncoder {
-	return &FrameEncoder{buf: buf, enc: gob.NewEncoder(buf)}
-}
-
-// Append encodes f as the stream's next frame: a 4-byte big-endian length,
-// then the bytes of one Encode call — the descriptors of the types the
-// stream has not carried yet, then the value. On error (an unregistered or
-// unencodable payload) buf is left as it was, but the stream is poisoned: the encoder may count descriptors as
-// sent that were among the discarded bytes, so nothing more may be
-// appended after the frames already in buf.
-func (e *FrameEncoder) Append(f Frame) error {
-	start := e.buf.Len()
-	e.buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := e.enc.Encode(f); err != nil {
-		e.buf.Truncate(start)
-		return err
+// AppendFrame appends f to b as one self-contained frame: a 4-byte
+// big-endian length, then the body
+//
+//	frame = uvarint(From) uvarint(To) varint(ID) varint(SentAt) payload
+//
+// where payload is the tagged wire form of f.Payload (see package wire). No
+// frame depends on another, so a frame that fails to encode costs only
+// itself: on error b comes back as it was.
+func AppendFrame(b []byte, f Frame) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0) // length placeholder
+	b = wire.AppendUint(b, uint64(f.From))
+	b = wire.AppendUint(b, uint64(f.To))
+	b = wire.AppendInt(b, f.ID)
+	b = wire.AppendInt(b, int64(f.SentAt))
+	b, err := wire.AppendPayload(b, f.Payload)
+	size := len(b) - start - 4
+	if err == nil && size > maxFrameBytes {
+		err = errFrameTooLarge
 	}
-	b := e.buf.Bytes()[start:]
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return nil
+	if err != nil {
+		return b[:start], err
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(size))
+	return b, nil
 }
 
-// FrameDecoder is the receiving half of one connection's gob stream.
+// FrameDecoder reads the frames AppendFrame wrote, one at a time.
 type FrameDecoder struct {
 	r      *bufio.Reader
 	lenBuf [4]byte
-	body   bytes.Buffer // one frame; reused
-	dec    *gob.Decoder // reads body, an io.ByteReader, so it adds no buffer
+	body   []byte      // one frame's body; reused, since nothing decoded aliases it
+	rd     wire.Reader // reused, so a decode allocates only what it returns
 }
 
-// NewFrameDecoder reads the stream of frames a FrameEncoder wrote to r.
+// NewFrameDecoder reads frames from r.
 func NewFrameDecoder(r io.Reader) *FrameDecoder {
-	d := &FrameDecoder{r: bufio.NewReader(r)}
-	d.dec = gob.NewDecoder(&d.body)
-	return d
+	return &FrameDecoder{r: bufio.NewReader(r)}
 }
 
-var errCorruptFrame = errors.New("runtime: corrupt frame stream")
-
-// Next reads and decodes the stream's next frame. Any error — a read error,
-// a length of zero or over maxFrameBytes, a gob error, or a frame whose
-// bytes the decode did not use up — leaves the stream unusable.
+// Next reads and decodes the next frame. Any error — a read error, a length
+// of zero or over maxFrameBytes, a malformed body, or one with bytes left
+// over — leaves the decoder unusable.
 func (d *FrameDecoder) Next() (Frame, error) {
 	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
 		return Frame{}, err
@@ -93,19 +99,30 @@ func (d *FrameDecoder) Next() (Frame, error) {
 	if size == 0 || size > maxFrameBytes {
 		return Frame{}, errCorruptFrame
 	}
-	d.body.Reset()
-	d.body.Grow(size)
-	b := d.body.AvailableBuffer()[:size]
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return Frame{}, err
+	// The buffer grows with the bytes that arrive, not with the length the
+	// prefix claims, so a corrupt prefix cannot allocate maxFrameBytes.
+	body := d.body[:0]
+	for len(body) < size {
+		chunk := min(size-len(body), 64<<10)
+		body = slices.Grow(body, chunk)
+		k, err := io.ReadFull(d.r, body[len(body):len(body)+chunk])
+		body = body[:len(body)+k]
+		if err != nil {
+			return Frame{}, err
+		}
 	}
-	d.body.Write(b) // in place: b is body's own spare capacity
-	var f Frame
-	if err := d.dec.Decode(&f); err != nil {
-		return Frame{}, err
+	d.body = body
+	r := &d.rd
+	r.Reset(body)
+	f := Frame{
+		From:   model.ProcID(r.Uvarint()),
+		To:     model.ProcID(r.Uvarint()),
+		ID:     r.Int(),
+		SentAt: model.Time(r.Int()),
 	}
-	if d.body.Len() != 0 {
-		return Frame{}, errCorruptFrame
+	f.Payload = r.Payload()
+	if err := r.Done(); err != nil {
+		return Frame{}, err
 	}
 	return f, nil
 }
@@ -163,27 +180,19 @@ func (c TCPConfig) withDefaults() TCPConfig {
 }
 
 // TCPTransport is the wire transport: each process is its own OS process (or
-// at least its own listener), frames travel as length-prefixed gob blobs
-// over per-peer TCP connections. Writer goroutines own one reconnecting
-// connection per peer, sharing a single net.Dialer; readers accept any
-// number of inbound connections and funnel decoded frames into the inbox.
+// at least its own listener), and frames travel over per-peer TCP
+// connections in the typed binary form of AppendFrame. Writer goroutines own
+// one reconnecting connection per peer, sharing a single net.Dialer; readers
+// accept any number of inbound connections and funnel decoded frames into
+// the inbox.
 //
-// Each connection carries ONE gob stream (FrameEncoder on the writer,
-// FrameDecoder on the reader): a type's descriptor crosses a connection once,
-// with the first frame of that type, and every later frame carries only its
-// value. Frames are still length-prefixed (4-byte big-endian length, then
-// the bytes of one Encode call), so the reader decodes exactly one frame at
-// a time. The stream lives and dies with its connection: a redial starts a
-// fresh encoder and the peer's new reader a fresh decoder, and a partially
-// written frame fails the old connection's decode without touching the new
-// one. A frame that fails to encode poisons its stream (the encoder may
-// already count descriptors as sent that went out with the discarded
-// bytes), so the writer drops that frame, flushes the frames before it and
-// ends the connection; the rest ride the redial.
-//
-// Frames of different builds of this package must not meet on one
-// connection: the stream and the causal.Graph blob inside it are this
-// build's wire form, so every replica of a cluster runs the same build.
+// Every frame is self-contained: a length prefix, the link addressing, and
+// the payload's tag and body. No frame depends on the ones before it, so a
+// redial needs no handshake, a partially written frame fails only the old
+// connection's decode, and a frame that fails to encode is dropped alone.
+// The tags are fixed constants (package wire), so separately built replicas
+// agree on them; a payload type whose tag a peer does not know ends that
+// connection at the peer.
 //
 // Delivery is at-most-once — see the Transport contract for why replica
 // automata wrap themselves in internal/retransmit when running over TCP.
@@ -381,9 +390,9 @@ func (t *TCPTransport) accept() {
 	}
 }
 
-// reader decodes one inbound connection's frame stream until it breaks or
-// the endpoint closes. A truncated, oversized or undecodable frame ends the
-// connection; the peer redials with a fresh stream.
+// reader decodes one inbound connection's frames until it breaks or the
+// endpoint closes. A truncated, oversized or undecodable frame ends the
+// connection; the peer redials.
 func (t *TCPTransport) reader(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -416,15 +425,12 @@ func (t *TCPTransport) reader(conn net.Conn) {
 // write (the writev-style amortization: a replica broadcasting through the
 // retransmission layer queues n envelopes back to back, and a batch-window's
 // worth of traffic to one peer becomes one syscall instead of one per
-// frame). The frames are encoded onto the connection's gob stream, which is
-// created with the connection and dropped with it.
+// frame).
 //
 // Anything that cannot be delivered right now is dropped with a counter —
 // at-most-once, by design. A broken write drops the frames of its flush. An
-// unencodable frame is dropped alone, but it poisons the stream: the frames
-// encoded before it are flushed, the connection is closed, and the rest of
-// the batch is encoded onto the redial's fresh stream. An encode error says
-// nothing about the link, so it does not widen the redial backoff.
+// unencodable frame is dropped alone before the flush; it says nothing about
+// the link, so the connection stays up and the backoff does not widen.
 //
 // The backoff streak persists ACROSS connections, not just across failed
 // dials: a flapping peer whose listener accepts connections and immediately
@@ -441,8 +447,7 @@ func (t *TCPTransport) writer(peer *tcpPeer) {
 			conn.Close()
 		}
 	}()
-	var buf bytes.Buffer
-	var enc *FrameEncoder // conn's stream, appending to buf
+	var buf []byte
 	batch := make([]Frame, 0, maxCoalescedFrames)
 	encoded := make([]Frame, 0, maxCoalescedFrames)
 	failStreak := 0
@@ -465,46 +470,37 @@ func (t *TCPTransport) writer(peer *tcpPeer) {
 				break drain
 			}
 		}
-		for rest := batch; len(rest) > 0; {
-			if conn == nil {
-				if conn, failStreak = t.connect(peer, failStreak); conn == nil {
-					return // endpoint closed
-				}
-				enc = NewFrameEncoder(&buf)
+		buf, encoded = buf[:0], encoded[:0]
+		for _, fr := range batch {
+			var err error
+			if buf, err = AppendFrame(buf, fr); err != nil {
+				t.drop(fr)
+				continue
 			}
-			buf.Reset()
-			encoded = encoded[:0]
-			endConn := false
-			for len(rest) > 0 && !endConn {
-				fr := rest[0]
-				rest = rest[1:]
-				if err := enc.Append(fr); err != nil {
-					t.drop(fr)
-					endConn = true // the stream is poisoned; rest rides the next one
-					continue
-				}
-				encoded = append(encoded, fr)
-			}
-			if len(encoded) > 0 {
-				n, err := conn.Write(buf.Bytes())
-				t.bytesSent.Add(int64(n))
-				if err != nil {
-					endConn = true
-					failStreak++
-					for _, fr := range encoded {
-						t.drop(fr)
-					}
-				} else {
-					failStreak = 0
-					t.flushes.Add(1)
-					t.coalesced.Add(int64(len(encoded) - 1))
-				}
-			}
-			if endConn {
-				conn.Close()
-				conn, enc = nil, nil
+			encoded = append(encoded, fr)
+		}
+		if len(encoded) == 0 {
+			continue
+		}
+		if conn == nil {
+			if conn, failStreak = t.connect(peer, failStreak); conn == nil {
+				return // endpoint closed
 			}
 		}
+		n, err := conn.Write(buf)
+		t.bytesSent.Add(int64(n))
+		if err != nil {
+			failStreak++
+			for _, fr := range encoded {
+				t.drop(fr)
+			}
+			conn.Close()
+			conn = nil
+			continue
+		}
+		failStreak = 0
+		t.flushes.Add(1)
+		t.coalesced.Add(int64(len(encoded) - 1))
 	}
 }
 

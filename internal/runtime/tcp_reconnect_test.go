@@ -147,9 +147,9 @@ func newCutProxy(t *testing.T, backend string, seed int64) *cutProxy {
 	return p
 }
 
-// budget draws the next connection's byte allowance: small enough to land
-// inside frames routinely (a retransmit envelope around an etob payload gobs
-// to a few hundred bytes).
+// budget draws the next connection's byte allowance: small enough to cut
+// each connection within a few flushes, and at an offset that lands inside
+// a frame almost always.
 func (p *cutProxy) budget() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -206,7 +206,7 @@ func (c *chatAutomaton) Tick(model.Context) {}
 // while p1 streams retransmit-wrapped broadcasts. Two properties:
 //
 //  1. No corrupted frame is EVER delivered: a truncated or garbled frame
-//     must fail the length-prefix/gob decode and kill the connection, never
+//     must fail the length-prefix/body decode and kill the connection, never
 //     surface to the automaton (every payload p2 receives is one p1 sent).
 //  2. The retransmission layer heals every gap: despite each connection
 //     dying within ~a few frames, every payload eventually reaches p2

@@ -30,9 +30,9 @@ type Frame struct {
 // higher ID every LeaderTimeout/4, and a follower beats its leader every
 // DegradedAfter/4 (see Options). Followers never beat each other, so an
 // idle cluster carries heartbeats on 2(n−1) links, not n(n−1). It is
-// exported (and gob-encodable) so that wire transports can carry it between
-// real processes; the Proc loop intercepts it before the automaton ever sees
-// it.
+// exported, with a wire form (an empty body under wire.TagHeartbeat), so
+// that wire transports can carry it between real processes; the Proc loop
+// intercepts it before the automaton ever sees it.
 type Heartbeat struct{}
 
 // Transport is one process's endpoint of the cluster fabric: it can address

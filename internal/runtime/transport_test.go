@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 func init() {
@@ -23,6 +24,14 @@ type testPayload struct {
 	K int
 	S string
 }
+
+func (testPayload) WireTag() wire.Tag { return wire.TagTest }
+
+func (p testPayload) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendString(wire.AppendInt(b, int64(p.K)), p.S), nil
+}
+
+func (testPayload) ReadWire(r *wire.Reader) any { return testPayload{K: int(r.Int()), S: r.Str()} }
 
 // tcpCluster builds n connected TCPTransport endpoints on loopback. Ports are
 // reserved by binding throwaway listeners first (every endpoint needs the
@@ -142,9 +151,9 @@ func TestTCPTransportBasics(t *testing.T) {
 	testTransportBasics(t, []Transport{raw[0], raw[1], raw[2]})
 }
 
-// A graph-carrying ETOB update survives the gob round trip intact — the
-// causal.Graph GobEncode/GobDecode pair plus payload registration make the
-// protocol's richest message wire-safe.
+// A graph-carrying ETOB update survives the TCP round trip intact: the
+// protocol's richest message, whose body is the graph's positional wire
+// form.
 func TestTCPCarriesCausalGraph(t *testing.T) {
 	eps := tcpCluster(t, 2, nil)
 	a := etob.New(1, 2)
