@@ -17,10 +17,14 @@ import (
 // front door and no client, measured after a 1 s warm-up. Each iteration is
 // one second of the idle cluster. It reports the test process's CPU time per
 // wall second (getrusage: the replicas are all the process runs), the
-// Heartbeat frames the cluster sends per second, and its event loops' timer
-// wake-ups per second. DegradedAfter paces the followers' beats to the
-// leader (runtime.Options.DegradedAfter): 20 ms is the node default, 250 ms
-// the live-kv benchmark's. Run it at pinned iterations, e.g.
+// Heartbeat frames the cluster sends per second, its event loops' timer
+// wake-ups per second, and its Ω output changes per second (the sum of the
+// replicas' Proc.LeaderFlaps), so that a cadence that saves frames at the
+// cost of Ω's stability shows beside the saving. It reads 0 unless the host
+// delays a loop past the 20 ms leader timeout. DegradedAfter paces the
+// followers' beats to the leader (runtime.Options.DegradedAfter): 20 ms is
+// the node default, 250 ms the live-kv benchmark's. Run it at pinned
+// iterations, e.g.
 //
 //	go test ./internal/node -run '^$' -bench IdleCluster -benchtime=3x
 func BenchmarkIdleCluster(b *testing.B) {
@@ -34,7 +38,7 @@ func BenchmarkIdleCluster(b *testing.B) {
 			c.front.Close()
 			time.Sleep(time.Second)
 
-			beats, wakes := c.loopCounters()
+			beats, wakes, flaps := c.loopCounters()
 			cpu := processCPU(b)
 			start := time.Now()
 			b.ResetTimer()
@@ -43,21 +47,24 @@ func BenchmarkIdleCluster(b *testing.B) {
 			}
 			b.StopTimer()
 			secs := time.Since(start).Seconds()
-			beats2, wakes2 := c.loopCounters()
+			beats2, wakes2, flaps2 := c.loopCounters()
 			b.ReportMetric(float64((processCPU(b)-cpu).Microseconds())/1e3/secs, "cpu-ms/s")
 			b.ReportMetric(float64(beats2-beats)/secs, "heartbeats/s")
 			b.ReportMetric(float64(wakes2-wakes)/secs, "wakeups/s")
+			b.ReportMetric(float64(flaps2-flaps)/secs, "flaps/s")
 		})
 	}
 }
 
-// loopCounters sums the replicas' Heartbeat frames sent and timer wake-ups.
-func (c *cluster) loopCounters() (beats, wakes int64) {
+// loopCounters sums the replicas' Heartbeat frames sent, timer wake-ups and
+// Ω output changes.
+func (c *cluster) loopCounters() (beats, wakes, flaps int64) {
 	for _, nd := range c.nodes {
 		beats += nd.Proc().HeartbeatsSent()
 		wakes += nd.Proc().Wakeups()
+		flaps += nd.Proc().LeaderFlaps()
 	}
-	return beats, wakes
+	return beats, wakes, flaps
 }
 
 // processCPU returns the user plus system CPU time this process has used.

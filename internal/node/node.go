@@ -54,9 +54,10 @@
 //     eviction would throw that capacity away.
 //
 // What a replica hears follows the heartbeat schedule (runtime.Proc): the
-// leader beats every follower every LeaderTimeout/4, and each follower beats
-// the leader every DegradedAfter/4, so a connected leader and its followers
-// hear each other well within the window. Followers do not beat each other.
+// leader beats a follower once its link has carried no frame for
+// LeaderTimeout/2, and each follower beats the leader once its link has been
+// silent for DegradedAfter/2, so a connected leader and its followers hear
+// each other within half the window. Followers do not beat each other.
 // A replica that trusts itself because it cannot reach the leader, and
 // reaches only the leader's followers, therefore hears nobody and degrades
 // (its own promotes to those followers draw no reply).
@@ -133,9 +134,9 @@ type Config struct {
 	// any peer) after which the replica declares itself degraded
 	// (read-only). Default: Runtime.LeaderTimeout, or
 	// runtime.DefaultLeaderTimeout when that is unset. It also paces the
-	// followers' heartbeats to the leader, one every DegradedAfter/4, since
-	// the leader's degraded check is their only reader: a longer window
-	// means fewer idle frames.
+	// followers' heartbeats to the leader, one after each DegradedAfter/2 of
+	// silence on the link, since the leader's degraded check is their only
+	// reader: a longer window means fewer idle frames.
 	DegradedAfter time.Duration
 	// BootGrace suppresses degraded mode for this long after start, covering
 	// mesh dial-in. Default: 2×DegradedAfter.

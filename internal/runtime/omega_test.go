@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,12 +11,12 @@ import (
 )
 
 // The heartbeat Ω's liveness rule and cadence: any frame from a peer proves
-// it alive, and a Heartbeat goes out only at a beat, only to a peer that
-// reads it (a self-trusting process beats higher IDs every LeaderTimeout/4,
-// a follower its leader every DegradedAfter/4), and only into a link no
-// frame went to since the previous beat. The bounds below are
-// wall-clock ones with wide slack, since these loops share a small host with
-// other work.
+// it alive, and a Heartbeat goes out only to a peer that reads it (a
+// self-trusting process beats higher IDs, a follower its leader), and only
+// into a link that has carried no frame for half its reader's window
+// (LeaderTimeout/2 for a self-trusting sender, DegradedAfter/2 for a
+// follower). The bounds below are wall-clock ones with wide slack, since
+// these loops share a small host with other work.
 
 // tapTransport wraps a Transport and records, per destination, the wall time
 // of every frame sent and how many of them were Heartbeats. With dropBeats
@@ -73,6 +74,13 @@ func (t *tapTransport) beatsTo(q model.ProcID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.beats[q]
+}
+
+// sendsTo returns the wall times of every frame sent to q so far.
+func (t *tapTransport) sendsTo(q model.ProcID) []time.Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]time.Time(nil), t.sends[q]...)
 }
 
 // omegaCluster starts n Procs over a ChanNetwork, each endpoint tapped;
@@ -218,12 +226,12 @@ func TestOmegaIdleHeartbeatsAreLinearInN(t *testing.T) {
 					}
 				}
 			}
-			// The leader beats n−1 peers every timeout/4 and each of the n−1
-			// followers its leader every degraded/4. A late timer only
+			// The leader beats n−1 peers every timeout/2 and each of the n−1
+			// followers its leader every degraded/2. A late timer only
 			// stretches a beat interval, so allow a quarter fewer, and one
 			// more beat per link for the window's edges.
 			links := float64(n - 1)
-			want := links * (float64(to.Sub(from)/(timeout/4)) + float64(to.Sub(from)/(degraded/4)))
+			want := links * (float64(to.Sub(from)/(timeout/2)) + float64(to.Sub(from)/(degraded/2)))
 			t.Logf("%d heartbeats in %v, model %.0f", sent, to.Sub(from), want)
 			if got := float64(sent); got < 0.75*want || got > want+2*links {
 				t.Errorf("%.0f heartbeats in %v, want about %.0f", got, to.Sub(from), want)
@@ -327,9 +335,11 @@ func TestOmegaProtocolFramesProveLiveness(t *testing.T) {
 	}
 }
 
-// When the leader stops, the others move to p2 within the timeout plus the
-// two beats a link can stay silent for.
-func TestOmegaFailoverWithinTimeoutAndTwoBeats(t *testing.T) {
+// When the leader stops, the others move to p2 within the timeout, by which
+// both have dropped p1, plus half a timeout, the longest a link p2 beats can
+// stay silent once it trusts itself. p2 beats a silent link at once, so the
+// logged time sits near the timeout.
+func TestOmegaFailoverWithinTimeoutPlusHalf(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	const n = 3
 	procs, _ := omegaCluster(t, n, func(model.ProcID, int) model.Automaton { return idleAuto{} },
@@ -341,12 +351,111 @@ func TestOmegaFailoverWithinTimeoutAndTwoBeats(t *testing.T) {
 	start := time.Now()
 	procs[0].Stop()
 	const slack = 150 * time.Millisecond
-	bound := timeout + 2*(timeout/4) + slack
+	bound := timeout + timeout/2 + slack
 	waitLeader(t, 5*time.Second, procs[1:], 2)
 	took := time.Since(start)
 	t.Logf("fail-over took %v; Ω changes at p2, p3: %d, %d", took,
 		procs[1].LeaderFlaps()-flaps[0], procs[2].LeaderFlaps()-flaps[1])
 	if took > bound {
 		t.Errorf("p2 and p3 moved to p2 after %v, want ≤ %v", took, bound)
+	}
+}
+
+// everyKAuto sends every peer a protocol frame at every k-th tick.
+type everyKAuto struct {
+	idleAuto
+	k, ticks int
+}
+
+func (a *everyKAuto) Tick(ctx model.Context) {
+	if a.ticks++; a.ticks%a.k != 0 {
+		return
+	}
+	for _, q := range model.Procs(ctx.N()) {
+		if q != ctx.Self() {
+			ctx.Send(q, testPayload{})
+		}
+	}
+}
+
+// A Heartbeat goes into a link only once it has been silent for half its
+// reader's window, counted from the link's last frame, not at a point of a
+// fixed grid.
+func TestOmegaBeatsOnlyAfterHalfWindowOfSilence(t *testing.T) {
+	// Every link carries a protocol frame every timeout/3, within half the
+	// window, so after boot no link is due a beat. A grid of one beat per
+	// timeout/4 that skips a link only when a frame went since its previous
+	// beat would find some intervals empty.
+	t.Run("frame every third of the window", func(t *testing.T) {
+		const n = 3
+		const tick = 10 * time.Millisecond
+		const timeout = 450 * time.Millisecond
+		procs, _ := omegaCluster(t, n, func(model.ProcID, int) model.Automaton {
+			return &everyKAuto{k: int(timeout / 3 / tick)}
+		}, Options{TickInterval: tick, LeaderTimeout: timeout}, 0)
+		waitLeader(t, 5*time.Second, procs, 1)
+		time.Sleep(timeout) // past the boot-time beats
+		before := make([]int64, n)
+		for i, p := range procs {
+			before[i] = p.HeartbeatsSent()
+		}
+		time.Sleep(1500 * time.Millisecond)
+		for i, p := range procs {
+			if got := p.HeartbeatsSent() - before[i]; got != 0 {
+				t.Errorf("%v sent %d heartbeats into links that carry a frame every %v", p.Self(), got, timeout/3)
+			}
+			if p.Leader() != 1 {
+				t.Errorf("%v trusts %v, want p1", p.Self(), p.Leader())
+			}
+		}
+	})
+
+	// p1 sends p2 one frame at t, a quarter window less 75 ms after a beat;
+	// its next Heartbeat to p2 goes at t + timeout/2, where a quarter grid
+	// would beat at t + timeout/4 + 75 ms.
+	t.Run("beat half a window after the last frame", func(t *testing.T) {
+		const timeout = 800 * time.Millisecond
+		const slack = 50 * time.Millisecond
+		var got atomic.Int64
+		procs, taps := omegaCluster(t, 2, func(model.ProcID, int) model.Automaton {
+			return sendOnInput{got: &got}
+		}, Options{LeaderTimeout: timeout}, 0)
+		waitLeader(t, 5*time.Second, procs, 1)
+		beats := taps[0].beatsTo(2)
+		waitUntil(t, 5*time.Second, func() bool { return taps[0].beatsTo(2) > beats })
+		sends := taps[0].sendsTo(2)
+		time.Sleep(time.Until(sends[len(sends)-1].Add(timeout/4 - 75*time.Millisecond)))
+
+		i := len(taps[0].sendsTo(2))
+		procs[0].Submit("send")
+		waitUntil(t, 5*time.Second, func() bool { return len(taps[0].sendsTo(2)) >= i+2 })
+		sends = taps[0].sendsTo(2)
+		if n := taps[0].beatsTo(2) - beats; n != 2 {
+			t.Fatalf("p1 sent p2 %d heartbeats around its frame, want 1 before and 1 after", n)
+		}
+		gap := sends[i+1].Sub(sends[i])
+		t.Logf("heartbeat %v after the frame", gap)
+		if gap < timeout/2-slack || gap > timeout/2+slack {
+			t.Errorf("p1 beat p2 %v after its last frame, want %v ± %v", gap, timeout/2, slack)
+		}
+	})
+}
+
+// A process that trusts itself and has no higher-ID peer beats no link, so
+// once its peers are down it takes no timer wake-up at all.
+func TestSelfTrustingTopProcessTakesNoBeatWakeups(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	const window = time.Second
+	procs, _ := omegaCluster(t, 3, quietFactory, Options{LeaderTimeout: timeout}, 0)
+	waitLeader(t, 5*time.Second, procs, 1)
+	procs[0].Stop()
+	procs[1].Stop()
+	waitLeader(t, 5*time.Second, procs[2:], 3)
+	time.Sleep(timeout / 2) // the wake-up for p2's expiry has run
+	w0 := procs[2].Wakeups()
+	time.Sleep(window)
+	// One per beat would be window/(timeout/4) = 40.
+	if wakes := procs[2].Wakeups() - w0; wakes > 1 {
+		t.Errorf("p3 woke %d times in %v with no link to beat, want none", wakes, window)
 	}
 }

@@ -36,8 +36,9 @@ import (
 // need not fire for a tick that would only advance counters. An automaton
 // that implements model.Waker says how many of the coming ticks are of that
 // kind, and the timer is set to the earliest of the first tick that is due,
-// the next beat, and the expiry of the current leader's liveness, which is
-// the one change of Ω no frame announces. Every event sets it again. An
+// the first link due a beat, and the expiry of the current leader's
+// liveness, which is the one change of Ω no frame announces. Every event
+// sets it again, and when none of these is pending it is not set at all. An
 // automaton that is not a Waker has every tick due, so it wakes once per
 // TickInterval as with a ticker. Steps, their order and their detector
 // values are those of a loop that woke on every tick, up to when within a
@@ -49,22 +50,30 @@ import (
 // evidence that the peer is alive, so a protocol frame counts as much as a
 // Heartbeat. Heartbeats go only where they are read, as in
 // communication-efficient Ω (Aguilera, Delporte-Gallet, Fauconnier and
-// Toueg, PODC 2004), where only the leader sends forever:
+// Toueg, PODC 2004), where only the leader sends forever, and only into
+// silence: a link is beaten once it has carried no frame for half its
+// reader's window.
 //
-//   - a process that trusts itself beats every peer with a higher ID, every
-//     LeaderTimeout/4: those are the processes whose Ω it can be;
-//   - a process that trusts another beats only that leader, every
-//     DegradedAfter/4: the leader's degraded-mode check (PeersHeard) is the
-//     only reader of those frames.
+//   - a process that trusts itself beats every peer with a higher ID, each
+//     once its link has been silent for LeaderTimeout/2: those are the
+//     processes whose Ω it can be;
+//   - a process that trusts another beats only that leader, once the link
+//     has been silent for DegradedAfter/2: the leader's degraded-mode check
+//     (PeersHeard) is the only reader of those frames.
 //
 // Followers do not beat each other. The first beat comes one tick after the
-// loop starts, and a peer gets a Heartbeat at a beat only if no frame went
-// to it since the previous beat, so a live link to a reader is silent for at
-// most two beats. Under partial synchrony the timely processes stabilize on
-// one leader, which is how Ω is realized in practice. A follower hears of
-// the next-lowest ID only once that process trusts itself and beats, so a
-// fail-over can take it one extra beat, and one extra Ω change if its own
-// view expired first.
+// loop starts; after that each beaten link has its own deadline, half a
+// window after the last frame handed the transport for it, protocol frames
+// included. A live link to a reader is therefore silent for at most half
+// that reader's window, and an idle one carries one Heartbeat per half
+// window. A process that starts beating a link, as a new leader or a
+// follower of a new leader, beats it at once if it has been silent that
+// long. Under partial synchrony the timely processes stabilize on one
+// leader, which is how Ω is realized in practice. A follower hears of the
+// next-lowest ID only once that process trusts itself and beats; since the
+// new leader beats a silent link the moment its own view of the old one
+// expires, a fail-over takes about LeaderTimeout, and one extra Ω change
+// only at a follower whose view expired first.
 type Proc struct {
 	tr   Transport
 	opts Options
@@ -81,16 +90,15 @@ type Proc struct {
 	msgSeq    atomic.Int64
 	lastHeard []atomic.Int64 // index q-1: last frame received from q, unix nanos
 
-	sentSinceBeat []bool       // event-loop-local, index q-1: a frame went to q since the last beat
-	selfQ         []Frame      // event-loop-local: self-sends not yet delivered, oldest first
-	prevLeader    model.ProcID // event-loop-local: Ω output at the previous step
-	nextTick      time.Time    // event-loop-local: the first tick not yet run
-	lastBeat      time.Time    // event-loop-local: the previous beat; zero before the first
-	firstBeat     time.Time    // event-loop-local: when the first beat is due
-	ctx           liveCtx      // event-loop-local: the step context, reset per step
-	flaps         atomic.Int64 // Ω output changes observed across steps
-	heartbeats    atomic.Int64 // Heartbeat frames sent
-	wakeups       atomic.Int64 // timer wake-ups taken
+	lastSent   []time.Time  // event-loop-local, index q-1: the last frame handed the transport for q; zero before the first
+	selfQ      []Frame      // event-loop-local: self-sends not yet delivered, oldest first
+	prevLeader model.ProcID // event-loop-local: Ω output at the previous step
+	nextTick   time.Time    // event-loop-local: the first tick not yet run
+	firstBeat  time.Time    // event-loop-local: when a link no frame has gone to is first beaten
+	ctx        liveCtx      // event-loop-local: the step context, reset per step
+	flaps      atomic.Int64 // Ω output changes observed across steps
+	heartbeats atomic.Int64 // Heartbeat frames sent
+	wakeups    atomic.Int64 // timer wake-ups taken
 }
 
 type localOp struct {
@@ -115,8 +123,7 @@ func NewProc(tr Transport, factory model.AutomatonFactory, opts Options) *Proc {
 		done:      make(chan struct{}),
 		clockBase: opts.ClockEpoch,
 		lastHeard: make([]atomic.Int64, tr.N()),
-
-		sentSinceBeat: make([]bool, tr.N()),
+		lastSent:  make([]time.Time, tr.N()),
 	}
 	if p.clockBase.IsZero() {
 		p.clockBase = time.Now()
@@ -191,14 +198,14 @@ func (p *Proc) Leader() model.ProcID {
 func (p *Proc) LeaderFlaps() int64 { return p.flaps.Load() }
 
 // HeartbeatsSent returns how many Heartbeat frames this process has sent:
-// one per beat to each peer it beats that no other frame went to since the
-// previous beat. Safe to read from any goroutine.
+// one each time a link it beats has been silent for half its reader's
+// window. Safe to read from any goroutine.
 func (p *Proc) HeartbeatsSent() int64 { return p.heartbeats.Load() }
 
 // Wakeups returns how many times the loop's timer has fired: once for each
 // due tick, beat or leader expiry that no other event came before. An idle
-// follower takes one per beat; a Waker-less automaton one per tick. Safe to
-// read from any goroutine.
+// follower takes one per beat, a process that beats no link none for beats,
+// and a Waker-less automaton one per tick. Safe to read from any goroutine.
 func (p *Proc) Wakeups() int64 { return p.wakeups.Load() }
 
 // PeersHeard returns how many PEERS (self excluded) this process has received
@@ -232,7 +239,7 @@ func (p *Proc) Stop() {
 
 func (p *Proc) run() {
 	defer close(p.done)
-	// The first beat comes one tick in, so that the slower beat cadence does
+	// The first beat comes one tick in, so that the half-window deadline does
 	// not delay Ω at boot. Not at once: peers booted just after this process
 	// are not listening yet, and a failed dial costs a wire transport its
 	// redial backoff.
@@ -273,12 +280,13 @@ func (p *Proc) run() {
 		case <-timer.C:
 			p.wakeups.Add(1)
 			p.runTicks()
-			now := time.Now()
-			if leader := p.leaderAt(now); !now.Before(p.beatDue(leader)) {
-				p.beat(leader)
-			}
+			p.beat(p.leaderAt(time.Now()))
 		}
-		timer.Reset(time.Until(p.nextWake()))
+		if wake := p.nextWake(); wake.IsZero() {
+			timer.Stop()
+		} else {
+			timer.Reset(time.Until(wake))
+		}
 	}
 }
 
@@ -296,55 +304,74 @@ func (p *Proc) runTicks() {
 }
 
 // nextWake returns when the loop next has work without an event: the first
-// tick the automaton says is due, the next beat, or the expiry of the
-// current leader's liveness, whichever comes first.
+// tick the automaton says is due, the first link due a beat, or the expiry
+// of the current leader's liveness, whichever comes first. It returns the
+// zero Time when none of these is pending.
 func (p *Proc) nextWake() time.Time {
 	leader := p.leaderAt(time.Now())
-	wake := p.beatDue(leader)
-	if k := model.IdleTicks(p.auto, fd.OmegaValue(leader)); k >= 0 {
-		if due := p.nextTick.Add(time.Duration(k) * p.opts.TickInterval); due.Before(wake) {
-			wake = due
+	var wake time.Time
+	earliest := func(at time.Time) {
+		if wake.IsZero() || at.Before(wake) {
+			wake = at
 		}
 	}
-	if leader != p.self {
-		if exp := time.Unix(0, p.lastHeard[leader-1].Load()).Add(p.opts.LeaderTimeout + 1); exp.Before(wake) {
-			wake = exp
+	half := p.beatHalf(leader)
+	for q := model.ProcID(1); int(q) <= p.n; q++ {
+		if p.beats(leader, q) {
+			earliest(p.beatDue(q, half))
 		}
+	}
+	if k := model.IdleTicks(p.auto, fd.OmegaValue(leader)); k >= 0 {
+		earliest(p.nextTick.Add(time.Duration(k) * p.opts.TickInterval))
+	}
+	if leader != p.self {
+		earliest(time.Unix(0, p.lastHeard[leader-1].Load()).Add(p.opts.LeaderTimeout + 1))
 	}
 	return wake
 }
 
-// beatDue returns when the next beat is due under the current leader: a
-// process that trusts itself beats every LeaderTimeout/4, a follower every
-// DegradedAfter/4.
-func (p *Proc) beatDue(leader model.ProcID) time.Time {
-	if p.lastBeat.IsZero() {
-		return p.firstBeat
-	}
+// beats reports whether this process beats q under leader: a process that
+// trusts itself beats every peer with a higher ID, a follower only its
+// leader.
+func (p *Proc) beats(leader, q model.ProcID) bool {
 	if leader == p.self {
-		return p.lastBeat.Add(p.opts.LeaderTimeout / 4)
+		return q > p.self
 	}
-	return p.lastBeat.Add(p.opts.DegradedAfter / 4)
+	return q == leader
 }
 
-// beat sends a Heartbeat to each peer this process beats under leader (the
-// peers with higher IDs if it is itself the leader, its leader otherwise)
-// that no frame went to since the previous beat, and starts the next
-// interval.
+// beatHalf returns half the window of the process that reads this
+// process's beats under leader: LeaderTimeout/2 for a process that trusts
+// itself, DegradedAfter/2 for a follower.
+func (p *Proc) beatHalf(leader model.ProcID) time.Duration {
+	if leader == p.self {
+		return p.opts.LeaderTimeout / 2
+	}
+	return p.opts.DegradedAfter / 2
+}
+
+// beatDue returns when the link to q is due a Heartbeat: half (of its
+// reader's window) after the last frame handed the transport for q, or at
+// the first beat if no frame was.
+func (p *Proc) beatDue(q model.ProcID, half time.Duration) time.Time {
+	if last := p.lastSent[q-1]; !last.IsZero() {
+		return last.Add(half)
+	}
+	return p.firstBeat
+}
+
+// beat sends a Heartbeat into each link this process beats under leader
+// that is due one (see beatDue).
 func (p *Proc) beat(leader model.ProcID) {
-	for i, sent := range p.sentSinceBeat {
-		q := model.ProcID(i + 1)
-		reads := q > p.self
-		if leader != p.self {
-			reads = q == leader
-		}
-		if reads && !sent {
+	now := time.Now()
+	half := p.beatHalf(leader)
+	for q := model.ProcID(1); int(q) <= p.n; q++ {
+		if p.beats(leader, q) && !now.Before(p.beatDue(q, half)) {
 			_ = p.tr.Send(Frame{From: p.self, To: q, Payload: Heartbeat{}})
+			p.lastSent[q-1] = now
 			p.heartbeats.Add(1)
 		}
-		p.sentSinceBeat[i] = false
 	}
-	p.lastBeat = time.Now()
 }
 
 func (p *Proc) handle(f Frame) {
@@ -411,18 +438,19 @@ func (p *Proc) leaderAt(at time.Time) model.ProcID {
 // sendProto transmits one protocol message: stamp a per-process message ID
 // (unique across the cluster by construction), notify the observer, and hand
 // the frame to the transport, or to the self-send FIFO when it is addressed
-// to this process. A peer frame stands in for the link's next Heartbeat.
+// to this process. A peer frame restarts the link's beat deadline.
 func (p *Proc) sendProto(to model.ProcID, payload any) {
-	if to >= 1 && int(to) <= p.n {
-		p.sentSinceBeat[to-1] = true
-	}
 	id := int64(p.self)<<40 | p.msgSeq.Add(1)
-	now := p.now()
+	at := time.Now()
+	now := p.clock(at)
 	p.opts.Observer.OnSend(now, sim.Message{ID: id, From: p.self, To: to, Payload: payload, SentAt: now})
 	f := Frame{From: p.self, To: to, ID: id, SentAt: now, Payload: payload}
 	if to == p.self {
 		p.selfQ = append(p.selfQ, f)
 		return
+	}
+	if to >= 1 && int(to) <= p.n {
+		p.lastSent[to-1] = at
 	}
 	_ = p.tr.Send(f)
 }

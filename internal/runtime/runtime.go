@@ -59,15 +59,16 @@ type Options struct {
 	TickInterval time.Duration
 	// LeaderTimeout is how long without any frame from a peer before a
 	// process stops trusting it. Default DefaultLeaderTimeout. It also paces
-	// a self-trusting process's heartbeats: it beats every LeaderTimeout/4,
-	// sending Heartbeat to each peer with a higher ID that no frame went to
-	// since the previous beat.
+	// a self-trusting process's heartbeats: it sends Heartbeat to each peer
+	// with a higher ID once no frame has gone to that peer for
+	// LeaderTimeout/2.
 	LeaderTimeout time.Duration
 	// DegradedAfter is the peer-silence window a leader's degraded-mode
 	// check reads (internal/node; see Proc.PeersHeard). It paces a
 	// follower's heartbeats: a process that trusts another beats only that
-	// leader, every DegradedAfter/4, so the leader hears each follower at
-	// least every DegradedAfter/2. Default LeaderTimeout.
+	// leader, once no frame has gone to it for DegradedAfter/2, so the leader
+	// hears each follower at least every DegradedAfter/2. Default
+	// LeaderTimeout.
 	DegradedAfter time.Duration
 	// Delay, if non-nil, returns the artificial link delay per message
 	// (ChanNetwork fabrics only; wire transports have real delays).

@@ -25,14 +25,15 @@ type Frame struct {
 }
 
 // Heartbeat is the Ω heartbeat frame. A Proc sends one only to a peer that
-// reads it, and only at a beat with no other frame sent to that peer since
-// the previous beat: a process that trusts itself beats each peer with a
-// higher ID every LeaderTimeout/4, and a follower beats its leader every
-// DegradedAfter/4 (see Options). Followers never beat each other, so an
-// idle cluster carries heartbeats on 2(n−1) links, not n(n−1). It is
-// exported, with a wire form (an empty body under wire.TagHeartbeat), so
-// that wire transports can carry it between real processes; the Proc loop
-// intercepts it before the automaton ever sees it.
+// reads it, and only once no frame has gone to that peer for half the
+// reader's window: a process that trusts itself beats each peer with a
+// higher ID after LeaderTimeout/2 of silence, and a follower beats its
+// leader after DegradedAfter/2 (see Options). Followers never beat each
+// other, so an idle cluster carries heartbeats on 2(n−1) links, not n(n−1),
+// one per half window each. It is exported, with a wire form (an empty body
+// under wire.TagHeartbeat), so that wire transports can carry it between
+// real processes; the Proc loop intercepts it before the automaton ever sees
+// it.
 type Heartbeat struct{}
 
 // Transport is one process's endpoint of the cluster fabric: it can address

@@ -60,13 +60,14 @@ func idleStackWakes(t *testing.T, opts Options, window time.Duration) (wakes, pr
 }
 
 // An idle follower's ticks are never due: it wakes for its beats to the
-// leader and for nothing else, not once per tick.
+// leader, one per half window of silence on that link, and for nothing else,
+// not once per tick.
 func TestIdleFollowerTakesNoTickWakeups(t *testing.T) {
 	const tick = 2 * time.Millisecond
 	const timeout = 100 * time.Millisecond
 	const window = time.Second
 	wakes, _ := idleStackWakes(t, Options{TickInterval: tick, LeaderTimeout: timeout}, window)
-	beats := int64(window / (timeout / 4))
+	beats := int64(window / (timeout / 2))
 	for i, w := range wakes[1:] {
 		if w > beats+3 {
 			t.Errorf("follower p%d woke %d times in %v, want ≤ %d (its beats); one per tick would be %d",
@@ -76,15 +77,18 @@ func TestIdleFollowerTakesNoTickWakeups(t *testing.T) {
 }
 
 // An idle leader wakes about once per promoteKeepalive ticks, to send the
-// keepalive, plus at its beats, and the keepalive keeps its cadence.
+// keepalive, and the keepalive keeps its cadence. The keepalives reach each
+// follower every 16 ms, far within half the window (50 ms), so no link of
+// the leader is ever due a beat and it takes no beat wake-up; a beat every
+// timeout/4 would add 40.
 func TestIdleLeaderWakesOncePerKeepalive(t *testing.T) {
 	const tick = 2 * time.Millisecond
-	const timeout = 400 * time.Millisecond
+	const timeout = 100 * time.Millisecond
 	const window = time.Second
 	const keepalive = 8 // etob's promoteKeepalive
 	wakes, promotes := idleStackWakes(t, Options{TickInterval: tick, LeaderTimeout: timeout}, window)
 	keepalives := int64(window / (keepalive * tick))
-	if limit := keepalives + keepalives/8 + int64(window/(timeout/4)) + 3; wakes[0] > limit {
+	if limit := keepalives + keepalives/8 + 3; wakes[0] > limit {
 		t.Errorf("leader woke %d times in %v, want ≤ %d; one per tick would be %d", wakes[0], window, limit, window/tick)
 	}
 	if promotes[0] < keepalives*3/4 || promotes[0] > keepalives+2 {
