@@ -81,7 +81,7 @@ func e10Cell(opts Options, scale, until model.Time, msgs, n int) cellOut {
 		Spare:    []model.ProcID{leader},
 	})
 	fp := model.NewFailurePattern(n) // all correct: churned processes are eventually up
-	det := fd.NewOmegaUp(n, leader, fs.QuietAfter(), fs.Up, fs.Boundaries())
+	det := fd.NewOmegaUp(n, leader, fs.QuietAfter(), fs.Up)
 	rec := trace.NewRecorder(n)
 	k := sim.New(fp, det, retransmit.Wrap(etob.Factory(), retransmit.Options{Seed: opts.seed()}),
 		sim.Options{Seed: opts.seed(), Faults: fs})

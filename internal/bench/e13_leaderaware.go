@@ -47,7 +47,7 @@ func e13Spec(opts Options) spec {
 		Header: []string{"workload", "scheduler", "converged", "converged at", "worst decision latency", "tau"},
 		Notes: []string{
 			"all three schedulers draw delays in [1, 60] ticks — same admissible envelope, different schedules inside it",
-			"leader-aware = adversary.LeaderStarver: every link touching the current Omega output (observed through the kernel's sim.LeaderAware hook, served from its fd.Cached segments) is pinned at the bound — the leader's own step loop included, which is what starves the EC promotion pipeline at its source",
+			"leader-aware = adversary.LeaderStarver: every link touching the current Omega output (observed through the kernel's sim.LeaderAware hook, which reads the run's detector history) is pinned at the bound — the leader's own step loop included, which is what starves the EC promotion pipeline at its source",
 			"blind-rotation = adversary.AdversarialScheduler: one victim per 400-tick window, protocol-blind — the E12 note this experiment quantifies; on the transform workload it converges EARLIER than i.i.d. noise (the flagged inversion), while leader-awareness costs ~10x over both",
 			"workloads are E12's: broadcast (E9's crash-free n=5 run, stable leader) and transform (E3's Alg1 over Alg4, n=3, Omega stabilizes at 600); the transform cells measure ORDER convergence (last sequence change across correct replicas) over an extended horizon, since presence-based stable delivery saturates at the delay bound and cannot see post-stabilization reordering",
 			"EC still converges in every cell: leader starvation is admissible (finite delays, every message delivered)",

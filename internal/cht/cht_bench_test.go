@@ -14,7 +14,7 @@ func benchSetup() (*model.FailurePattern, fd.Detector) {
 	return fp, det
 }
 
-// BenchmarkBuildDAG measures the communication-task builder (batched cached
+// BenchmarkBuildDAG measures the communication-task builder (direct
 // detector sampling, map-free predecessor assembly).
 func BenchmarkBuildDAG(b *testing.B) {
 	fp, det := benchSetup()

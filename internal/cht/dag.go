@@ -58,9 +58,7 @@
 // then canonical encoding) is append-only. A per-prefix view therefore needs
 // only a fresh valency (k-tag) pass, not a re-exploration; EmulateOmega
 // carries one TreeCache per forest tree across all rounds and lagged
-// per-process views. The DAG builder itself batches its detector sampling
-// through fd.Cached.ValuesAt, so re-building a grown DAG re-reads history
-// segments from the cache instead of recomputing them.
+// per-process views.
 package cht
 
 import (
@@ -210,13 +208,10 @@ func (o BuildOptions) withDefaults() BuildOptions {
 // plus every vertex older than a bounded gossip lag) to the new vertex, and
 // the new vertex becomes available to others after the lag.
 //
-// The builder is the reduction's heaviest detector consumer: it wraps det in
-// fd.Cached (a no-op if the caller already did, as EmulateOmega does once per
-// emulation so rounds share segments) and batch-queries each sweep's samples
-// through the cache's ValuesAt before materializing vertices. Predecessor
-// sets are assembled without scratch maps: a process's knowledge is the
-// contiguous gossip window [0, cutoff) plus its own later samples, already
-// sorted.
+// Each sample reads det directly; the shipped histories answer in O(1).
+// Predecessor sets are assembled without scratch maps: a process's knowledge
+// is the contiguous gossip window [0, cutoff) plus its own later samples,
+// already sorted.
 //
 // The resulting DAG satisfies the paper's properties (1)–(4) on its finite
 // prefix: samples are consistent with H and F, edges respect temporal order,
@@ -226,7 +221,6 @@ func BuildDAG(fp *model.FailurePattern, det fd.Detector, opts BuildOptions) *DAG
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	g := &DAG{byProc: make(map[model.ProcID][]int)}
-	cached := fd.NewCached(det)
 
 	type known struct {
 		cutoff int // knows all vertices with Index < cutoff
@@ -239,28 +233,10 @@ func BuildDAG(fp *model.FailurePattern, det fd.Detector, opts BuildOptions) *DAG
 		views[p] = &known{}
 	}
 
-	// Per-sweep sampling scratch, reused across sweeps.
-	alive := make([]model.ProcID, 0, n)
-	times := make([]model.Time, 0, n)
-	samples := make([]any, 0, n)
-
 	now := model.Time(0)
 	for s := 0; s < opts.SamplesPerProcess; s++ {
-		// Batch the sweep's detector queries: the clock advances per process
-		// slot whether or not the process is alive, exactly as the serial
-		// loop did, and crashed processes take no sample.
-		alive, times = alive[:0], times[:0]
-		t := now
-		for _, p := range procs {
-			t += opts.QueryInterval
-			if !fp.Crashed(p, t) {
-				alive = append(alive, p)
-				times = append(times, t)
-			}
-		}
-		samples = cached.ValuesAt(alive, times, samples)
-
-		si := 0
+		// The clock advances per process slot whether or not the process is
+		// alive, and crashed processes take no sample.
 		for _, p := range procs {
 			now += opts.QueryInterval
 			if fp.Crashed(p, now) {
@@ -284,11 +260,10 @@ func BuildDAG(fp *model.FailurePattern, det fd.Detector, opts BuildOptions) *DAG
 			g.vertices = append(g.vertices, Vertex{
 				Index: idx,
 				P:     p,
-				D:     samples[si],
+				D:     det.Value(p, now),
 				K:     len(v.own) + 1,
 				Time:  now,
 			})
-			si++
 			g.preds = append(g.preds, nil)
 			g.succs = append(g.succs, nil)
 			g.byProc[p] = append(g.byProc[p], idx)

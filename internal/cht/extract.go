@@ -181,9 +181,7 @@ type EmulateOptions struct {
 // and every per-process view is a prefix of it, so the simulation trees are
 // built incrementally: one TreeCache per forest tree carries all nodes, edges
 // and interned configurations from round to round and only extends frontiers
-// reachable from the new DAG vertices. The detector is wrapped in fd.Cached
-// once, so each round's rebuilt DAG re-samples H(p, t) from the per-segment
-// cache instead of recomputing histories.
+// reachable from the new DAG vertices.
 func EmulateOmega(alg Algorithm, fp *model.FailurePattern, det fd.Detector, opts EmulateOptions) ([]EmulationRound, error) {
 	if opts.Rounds <= 0 {
 		opts.Rounds = 3
@@ -195,7 +193,6 @@ func EmulateOmega(alg Algorithm, fp *model.FailurePattern, det fd.Detector, opts
 		opts.ViewLag = 0
 	}
 	n := fp.N()
-	det = fd.NewCached(det)
 
 	var caches []*TreeCache
 	if opts.Classical {

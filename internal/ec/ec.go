@@ -64,22 +64,19 @@ func New(p model.ProcID, n int) *Automaton {
 	}
 }
 
-// NewDriven returns the automaton with a Driver that proposes instance 1 at
-// Init and instance ℓ+1 as soon as instance ℓ decides.
-func NewDriven(p model.ProcID, n int, d Driver) *Automaton {
-	a := New(p, n)
-	a.driver = d
-	return a
-}
-
 // Factory adapts New to model.AutomatonFactory.
 func Factory() model.AutomatonFactory {
 	return func(p model.ProcID, n int) model.Automaton { return New(p, n) }
 }
 
-// DrivenFactory adapts NewDriven to model.AutomatonFactory.
+// DrivenFactory returns the factory of automata whose Driver proposes
+// instance 1 at Init and instance ℓ+1 as soon as instance ℓ decides.
 func DrivenFactory(d Driver) model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton { return NewDriven(p, n, d) }
+	return func(p model.ProcID, n int) model.Automaton {
+		a := New(p, n)
+		a.driver = d
+		return a
+	}
 }
 
 // Init implements model.Automaton.

@@ -49,20 +49,17 @@ type CommitAutomaton struct {
 
 var _ model.Automaton = (*CommitAutomaton)(nil)
 
-// NewWithCommit returns the extended automaton for process p of n.
-func NewWithCommit(p model.ProcID, n int) *CommitAutomaton {
-	return &CommitAutomaton{
-		Automaton: New(p, n),
-		n:         n,
-		majority:  n/2 + 1,
-		ackedLen:  make(map[model.ProcID]int, n),
-		ackedFor:  make(map[model.ProcID]model.ProcID, n),
-	}
-}
-
-// CommitFactory adapts NewWithCommit to model.AutomatonFactory.
+// CommitFactory returns the factory of the extended automaton.
 func CommitFactory() model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton { return NewWithCommit(p, n) }
+	return func(p model.ProcID, n int) model.Automaton {
+		return &CommitAutomaton{
+			Automaton: New(p, n),
+			n:         n,
+			majority:  n/2 + 1,
+			ackedLen:  make(map[model.ProcID]int, n),
+			ackedFor:  make(map[model.ProcID]model.ProcID, n),
+		}
+	}
 }
 
 // Recv implements model.Automaton: handle acks, and acknowledge every

@@ -35,7 +35,7 @@ func TestSameCounterShorterPromoteDropped(t *testing.T) {
 	long := PromoteMsg{Seq: []string{"a", "b"}, Counter: 3}
 	var out []sent
 	ctx := capCtx{self: 2, n: 3, fd: model.ProcID(1), out: &out}
-	a := NewWithCommit(2, 3)
+	a := CommitFactory()(2, 3).(*CommitAutomaton)
 	a.Recv(ctx, 1, long)
 	a.Recv(ctx, 1, short)
 	a.Recv(ctx, 1, long) // a duplicate is no newer either
@@ -54,7 +54,7 @@ func TestSameCounterShorterPromoteDropped(t *testing.T) {
 func TestSameCounterLongerPromoteAdoptedAndAcked(t *testing.T) {
 	var out []sent
 	ctx := capCtx{self: 2, n: 3, fd: model.ProcID(1), out: &out}
-	a := NewWithCommit(2, 3)
+	a := CommitFactory()(2, 3).(*CommitAutomaton)
 	a.Recv(ctx, 1, PromoteMsg{Seq: []string{"a"}, Counter: 3})
 	a.Recv(ctx, 1, PromoteMsg{Seq: []string{"a", "b"}, Counter: 3})
 	a.Recv(ctx, 1, PromoteMsg{Seq: []string{"a", "b"}, Counter: 4})

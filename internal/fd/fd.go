@@ -18,11 +18,16 @@
 // Oracles read the failure pattern — they model *information about failures*,
 // not an implementation. A message-passing implementation of Ω (heartbeats
 // under partial synchrony) lives in internal/runtime.
+//
+// Every history here is piecewise constant with O(1) structure, so a query
+// costs O(1) for Ω and Σ (OmegaUp: one liveness scan) and allocates nothing
+// except P's suspect set: Σ and Ω+Σ box their few values at construction.
+// The kernel therefore reads a detector directly at every step. The failure
+// pattern must be complete when a detector is built over it.
 package fd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -33,7 +38,9 @@ type Detector interface {
 	// Name identifies the detector class for logs and tables ("Omega", ...).
 	Name() string
 	// Value returns H(p, t). Implementations must be deterministic and
-	// side-effect free: the CHT reduction samples them repeatedly.
+	// side-effect free: the CHT reduction samples them repeatedly. Callers
+	// must treat the value as read-only, since a history may return one
+	// value (a quorum slice, say) to every query and every kernel.
 	Value(p model.ProcID, t model.Time) any
 }
 
@@ -65,22 +72,15 @@ type Omega struct {
 	leader model.ProcID
 	stab   model.Time
 	pre    func(p model.ProcID, t model.Time) model.ProcID
-	// preSeg is the segmentation of the pre-stabilization phase: the start of
-	// the constant segment containing t (see Segmented). The shipped pre
-	// schedules are either constant in t (self-trust, split: segment start 0)
-	// or periodic (rotating). nil with a non-nil pre means "unknown", which
-	// degrades to exact-time caching before stab.
-	preSeg func(t model.Time) model.Time
 }
 
 var _ Detector = (*Omega)(nil)
-var _ Segmented = (*Omega)(nil)
 
 // NewOmegaStable returns an Ω history that outputs the same correct leader at
 // every process from time 0 — the regime in which Algorithm 5 implements
 // *strong* total order broadcast (§5, property 2).
 func NewOmegaStable(fp *model.FailurePattern, leader model.ProcID) *Omega {
-	return newOmega(fp, leader, 0, nil, constantPre)
+	return newOmega(fp, leader, 0, nil)
 }
 
 // NewOmegaEventual returns an Ω history that stabilizes on the given leader
@@ -88,7 +88,7 @@ func NewOmegaStable(fp *model.FailurePattern, leader model.ProcID) *Omega {
 // scenario: every process believes it is the leader — maximal disagreement).
 func NewOmegaEventual(fp *model.FailurePattern, leader model.ProcID, stab model.Time) *Omega {
 	return newOmega(fp, leader, stab,
-		func(p model.ProcID, _ model.Time) model.ProcID { return p }, constantPre)
+		func(p model.ProcID, _ model.Time) model.ProcID { return p })
 }
 
 // NewOmegaRotating returns an Ω history that, before stab, rotates the
@@ -101,7 +101,7 @@ func NewOmegaRotating(fp *model.FailurePattern, leader model.ProcID, stab, perio
 	n := fp.N()
 	return newOmega(fp, leader, stab, func(_ model.ProcID, t model.Time) model.ProcID {
 		return model.ProcID(int(t/period)%n + 1)
-	}, func(t model.Time) model.Time { return (t / period) * period })
+	})
 }
 
 // NewOmegaSplit returns an Ω history that, before stab, partitions processes
@@ -113,48 +113,31 @@ func NewOmegaSplit(fp *model.FailurePattern, leaderA, leaderB, leader model.Proc
 			return leaderA
 		}
 		return leaderB
-	}, constantPre)
+	})
 }
 
-// constantPre marks a pre-stabilization schedule that does not depend on t:
-// the whole pre phase is one constant segment per process.
-func constantPre(model.Time) model.Time { return 0 }
-
 func newOmega(fp *model.FailurePattern, leader model.ProcID, stab model.Time,
-	pre func(model.ProcID, model.Time) model.ProcID, preSeg func(model.Time) model.Time) *Omega {
+	pre func(model.ProcID, model.Time) model.ProcID) *Omega {
 	if !fp.IsCorrect(leader) {
 		panic(fmt.Sprintf("fd: eventual leader %v is not correct in %v", leader, fp))
 	}
 	if stab < 0 {
 		panic("fd: stabilization time must be >= 0")
 	}
-	return &Omega{fp: fp, leader: leader, stab: stab, pre: pre, preSeg: preSeg}
+	return &Omega{fp: fp, leader: leader, stab: stab, pre: pre}
 }
 
 // Name implements Detector.
 func (o *Omega) Name() string { return "Omega" }
 
 // Value implements Detector.
-func (o *Omega) Value(p model.ProcID, t model.Time) any {
+func (o *Omega) Value(p model.ProcID, t model.Time) any { return o.leaderAt(p, t) }
+
+func (o *Omega) leaderAt(p model.ProcID, t model.Time) model.ProcID {
 	if t >= o.stab || o.pre == nil {
 		return o.leader
 	}
 	return o.pre(p, t)
-}
-
-// SegmentStart implements Segmented: from stab on the output is the constant
-// eventual leader; before stab the pre schedule's own segmentation applies.
-func (o *Omega) SegmentStart(_ model.ProcID, t model.Time) model.Time {
-	if o.pre == nil {
-		return 0 // constant history
-	}
-	if t >= o.stab {
-		return o.stab
-	}
-	if o.preSeg == nil {
-		return t // unknown pre schedule: exact-time caching only
-	}
-	return o.preSeg(t)
 }
 
 // StabTime returns the time from which the output is the stable leader.
@@ -172,35 +155,29 @@ func (o *Omega) Leader() model.ProcID { return o.leader }
 // phases pairwise intersect (correct(F) ≠ ∅), and eventually quorums contain
 // only correct processes — the Σ specification of [DFG10] in any environment.
 type Sigma struct {
-	fp   *model.FailurePattern
-	stab model.Time
+	stab   model.Time
+	phases [2]any // SigmaValue Π, then correct(F), boxed once
 }
 
 var _ Detector = (*Sigma)(nil)
 
 // NewSigma returns a Σ history stabilizing at stab.
 func NewSigma(fp *model.FailurePattern, stab model.Time) *Sigma {
-	return &Sigma{fp: fp, stab: stab}
+	return &Sigma{stab: stab, phases: [2]any{SigmaValue(model.Procs(fp.N())), SigmaValue(fp.Correct())}}
 }
 
 // Name implements Detector.
 func (s *Sigma) Name() string { return "Sigma" }
 
 // Value implements Detector.
-func (s *Sigma) Value(p model.ProcID, t model.Time) any {
-	if t < s.stab {
-		return SigmaValue(model.Procs(s.fp.N()))
-	}
-	return SigmaValue(s.fp.Correct())
-}
+func (s *Sigma) Value(_ model.ProcID, t model.Time) any { return s.phases[s.phase(t)] }
 
-// SegmentStart implements Segmented: Π until stab, correct(F) afterwards —
-// two constant segments.
-func (s *Sigma) SegmentStart(_ model.ProcID, t model.Time) model.Time {
+// phase is 0 before stabilization and 1 from it on.
+func (s *Sigma) phase(t model.Time) int {
 	if t < s.stab {
 		return 0
 	}
-	return s.stab
+	return 1
 }
 
 // ---------------------------------------------------------------------------
@@ -226,34 +203,14 @@ func (d *Perfect) Value(_ model.ProcID, t model.Time) any {
 	return crashedBy(d.fp, t)
 }
 
-// SegmentStart implements Segmented: the suspect set changes exactly at crash
-// times, so the segment containing t starts at the latest crash ≤ t.
-func (d *Perfect) SegmentStart(_ model.ProcID, t model.Time) model.Time {
-	return latestCrashBy(d.fp, t)
-}
-
-// latestCrashBy returns the largest crash time ≤ t in fp, or 0 if no process
-// has crashed by t. It reads fp live (never a precomputed snapshot) so that
-// segment answers stay correct even if crashes are added after the detector
-// is built.
-func latestCrashBy(fp *model.FailurePattern, t model.Time) model.Time {
-	var s model.Time
-	for q := 1; q <= fp.N(); q++ {
-		if ct := fp.CrashTime(model.ProcID(q)); ct >= 0 && ct <= t && ct > s {
-			s = ct
-		}
-	}
-	return s
-}
-
+// crashedBy returns the processes crashed by t, in ascending order.
 func crashedBy(fp *model.FailurePattern, t model.Time) SuspectValue {
 	out := make(SuspectValue, 0, fp.N())
-	for _, q := range model.Procs(fp.N()) {
+	for q := model.ProcID(1); int(q) <= fp.N(); q++ {
 		if fp.Crashed(q, t) {
 			out = append(out, q)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -268,34 +225,35 @@ func crashedBy(fp *model.FailurePattern, t model.Time) SuspectValue {
 type OmegaSigma struct {
 	O *Omega
 	S *Sigma
+	// pairs holds every value the pair can take, boxed once at construction:
+	// pairs[Σ phase][leader] for the leaders 0..n.
+	pairs [2][]any
 }
 
 var _ Detector = (*OmegaSigma)(nil)
 
 // NewOmegaSigma combines the two histories.
-func NewOmegaSigma(o *Omega, s *Sigma) *OmegaSigma { return &OmegaSigma{O: o, S: s} }
+func NewOmegaSigma(o *Omega, s *Sigma) *OmegaSigma {
+	d := &OmegaSigma{O: o, S: s}
+	for ph := range d.pairs {
+		d.pairs[ph] = make([]any, o.fp.N()+1)
+		for l := range d.pairs[ph] {
+			d.pairs[ph][l] = OmegaSigmaValue{Leader: model.ProcID(l), Quorum: s.phases[ph].(SigmaValue)}
+		}
+	}
+	return d
+}
 
 // Name implements Detector.
 func (d *OmegaSigma) Name() string { return "Omega+Sigma" }
 
 // Value implements Detector.
 func (d *OmegaSigma) Value(p model.ProcID, t model.Time) any {
-	return OmegaSigmaValue{
-		Leader: d.O.Value(p, t).(OmegaValue),
-		Quorum: d.S.Value(p, t).(SigmaValue),
+	ph, l := d.S.phase(t), d.O.leaderAt(p, t)
+	if l < 0 || int(l) >= len(d.pairs[ph]) { // a split camp led from outside Π
+		return OmegaSigmaValue{Leader: l, Quorum: d.S.phases[ph].(SigmaValue)}
 	}
-}
-
-// SegmentStart implements Segmented: the pair is constant exactly on the
-// intersection of the components' segments, and the intersection segment
-// containing t starts at the later of the two component starts.
-func (d *OmegaSigma) SegmentStart(p model.ProcID, t model.Time) model.Time {
-	so := d.O.SegmentStart(p, t)
-	ss := d.S.SegmentStart(p, t)
-	if ss > so {
-		return ss
-	}
-	return so
+	return d.pairs[ph][l]
 }
 
 // ---------------------------------------------------------------------------

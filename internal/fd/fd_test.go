@@ -223,3 +223,32 @@ func intersects(a, b SigmaValue) bool {
 	}
 	return false
 }
+
+var sink any
+
+// TestValueAllocatesNothing: every Ω and Σ history answers a query without
+// allocating, before and after stabilization, so the kernel can read it at
+// every step with nothing in between.
+func TestValueAllocatesNothing(t *testing.T) {
+	fp := fp4()
+	up := func(p model.ProcID, tt model.Time) bool { return p != 1 || tt >= 30 }
+	for name, d := range map[string]Detector{
+		"omega-stable":   NewOmegaStable(fp, 1),
+		"omega-eventual": NewOmegaEventual(fp, 1, 50),
+		"omega-rotating": NewOmegaRotating(fp, 1, 50, 7),
+		"omega-split":    NewOmegaSplit(fp, 2, 1, 3, 50),
+		"omega-up":       NewOmegaUp(4, 2, 50, up),
+		"sigma":          NewSigma(fp, 50),
+		"omega-sigma":    NewOmegaSigma(NewOmegaRotating(fp, 1, 40, 7), NewSigma(fp, 50)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, p := range model.Procs(4) {
+				for _, tt := range []model.Time{0, 20, 45, 50, 500} {
+					if n := testing.AllocsPerRun(20, func() { sink = d.Value(p, tt) }); n != 0 {
+						t.Errorf("Value(%v, %d) allocates %.0f times", p, tt, n)
+					}
+				}
+			}
+		})
+	}
+}

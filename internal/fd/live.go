@@ -2,7 +2,6 @@ package fd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -23,33 +22,27 @@ import (
 // eventual leader must be up forever from some point on (eventually-up in
 // the schedule's sense); callers pass the schedule's churn end as Stab.
 //
-// Segmentation: the output can only change at an up/down boundary (or at
-// Stab), so SegmentStart answers with the latest boundary ≤ t — the
-// boundaries slice comes from FaultSchedule.Boundaries. Histories stay
-// cacheable by fd.Cached across down intervals.
+// A query before Stab scans up from p1 until it finds a live process, which
+// is one call while p1 is up.
 type OmegaUp struct {
-	n          int
-	leader     model.ProcID
-	stab       model.Time
-	up         func(p model.ProcID, t model.Time) bool
-	boundaries []model.Time // sorted state-change instants of up
+	n      int
+	leader model.ProcID
+	stab   model.Time
+	up     func(p model.ProcID, t model.Time) bool
 }
 
 var _ Detector = (*OmegaUp)(nil)
-var _ Segmented = (*OmegaUp)(nil)
 
 // NewOmegaUp builds the history over n processes. up must be a deterministic
-// pure function (model.FaultModel.Up qualifies); boundaries must contain, in
-// sorted order, every instant at which up changes for any process
-// (FaultSchedule.Boundaries qualifies).
-func NewOmegaUp(n int, leader model.ProcID, stab model.Time, up func(model.ProcID, model.Time) bool, boundaries []model.Time) *OmegaUp {
+// pure function (model.FaultModel.Up qualifies).
+func NewOmegaUp(n int, leader model.ProcID, stab model.Time, up func(model.ProcID, model.Time) bool) *OmegaUp {
 	if leader < 1 || int(leader) > n {
 		panic(fmt.Sprintf("fd: eventual leader %v outside a %d-process system", leader, n))
 	}
 	if stab < 0 {
 		panic("fd: stabilization time must be >= 0")
 	}
-	return &OmegaUp{n: n, leader: leader, stab: stab, up: up, boundaries: boundaries}
+	return &OmegaUp{n: n, leader: leader, stab: stab, up: up}
 }
 
 // Name implements Detector.
@@ -68,20 +61,6 @@ func (o *OmegaUp) Value(_ model.ProcID, t model.Time) any {
 	// Everyone down at t: no process takes a step, so the value is never
 	// observed; return the eventual leader for definiteness.
 	return o.leader
-}
-
-// SegmentStart implements Segmented.
-func (o *OmegaUp) SegmentStart(_ model.ProcID, t model.Time) model.Time {
-	if t >= o.stab {
-		return o.stab
-	}
-	// Latest boundary <= t (0 if none): the up set is constant between
-	// boundaries, so the smallest up process is too.
-	i := sort.Search(len(o.boundaries), func(i int) bool { return o.boundaries[i] > t })
-	if i == 0 {
-		return 0
-	}
-	return o.boundaries[i-1]
 }
 
 // StabTime returns the time from which the output is the stable leader.

@@ -276,3 +276,15 @@ func EnvMinorityCorrect() Environment {
 		},
 	}
 }
+
+// Mix64 is the splitmix64 finalizer: a bijective avalanche of x, so that
+// nearby inputs give unrelated outputs. Seeded fault fates, per-link drop
+// rates and per-layer seed streams are derived with it as pure functions of
+// their inputs, never of call order or map order.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}

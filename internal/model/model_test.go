@@ -162,3 +162,11 @@ func TestCrashMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMix64SplitMix64Vector pins Mix64 to the reference splitmix64: its first
+// output from state 0 is Mix64 of the golden-gamma increment.
+func TestMix64SplitMix64Vector(t *testing.T) {
+	if got := Mix64(0x9e3779b97f4a7c15); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("Mix64(gamma) = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+}

@@ -72,6 +72,14 @@
 // unacked at the restart keep being resent until the new incarnation
 // delivers and acks them.
 //
+// Resend queue: unacked envelopes wait in a heap keyed by (due tick, send
+// ordinal), so a tick touches only the envelopes due on it, not every
+// pending one. An ack marks its envelope and drops its payload at once; the
+// key stays queued until its due tick pops it, and only then is the slot
+// released, so settled state lingers at most one backoff interval. Resends
+// within one tick go out in send order, which fixes the order of the jitter
+// draws.
+//
 // Determinism: all jitter comes from a PRNG seeded by (Options.Seed, process,
 // epoch), and resend decisions depend only on tick counts (the estimator is
 // integer fixed point) — a wrapped run is bit-for-bit reproducible like any
@@ -83,6 +91,7 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/slabheap"
 	"repro/internal/wire"
 )
 
@@ -310,9 +319,9 @@ type pendKey struct {
 }
 
 // pending is one unacked envelope awaiting resend. Envelopes live in the
-// resend heap's slab (see heap.go) addressed by slot index; the map exists
-// only so an arriving ack can find its envelope. The due tick is carried by
-// the heap key, not stored here.
+// resend heap's slab addressed by slot index; the map exists only so an
+// arriving ack can find its envelope. The due tick is carried by the heap
+// key, not stored here.
 type pending struct {
 	to       model.ProcID
 	seq      int64
@@ -374,11 +383,11 @@ type Automaton struct {
 	rtt     []rttEst // per-link round-trip estimator
 	ticks   int64
 	rng     *rand.Rand
-	pending map[pendKey]int32 // ack lookup: (destination, link seq) → slab slot
-	heap    resendHeap        // unacked envelopes keyed by next due tick
-	due     []int32           // per-tick scratch: slots due for resend
-	sent    int64             // send ordinal counter (see pending.ord)
-	seen    map[srcKey]*dedup // per (sender, epoch) watermark + sparse set
+	pending map[pendKey]int32      // ack lookup: (destination, link seq) → slab slot
+	heap    slabheap.Heap[pending] // unacked envelopes keyed by (next due tick, ord)
+	due     []int32                // per-tick scratch: slots due for resend
+	sent    int64                  // send ordinal counter (see pending.ord)
+	seen    map[srcKey]*dedup      // per (sender, epoch) watermark + sparse set
 	resends int64
 	dupes   int64 // duplicate envelopes suppressed by receiver-side dedup
 
@@ -454,7 +463,7 @@ func (a *Automaton) Init(ctx model.Context) {
 	a.ticks = 0
 	a.rng = rand.New(rand.NewSource(a.opts.Seed*1_000_003 + int64(a.self)*7919 + a.epoch))
 	a.pending = make(map[pendKey]int32)
-	a.heap.reset()
+	a.heap.Reset()
 	a.sent = 0
 	a.seen = make(map[srcKey]*dedup)
 	a.lastHeard = make([]int64, a.n)
@@ -499,7 +508,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 			// The slot stays queued until its due tick pops it; its
 			// payload is released now.
 			delete(a.pending, key)
-			pd := &a.heap.slots[slot]
+			pd := a.heap.Slot(slot)
 			pd.acked, pd.payload = true, nil
 			if pd.attempts == 0 {
 				a.rtt[from-1].sample(a.ticks-pd.sentAt, int64(a.opts.RTO), int64(a.opts.MaxRTO))
@@ -519,7 +528,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 // inner automaton.
 func (a *Automaton) Tick(ctx model.Context) {
 	a.ticks++
-	if a.heap.len() > 0 && a.heap.peekDue() <= a.ticks {
+	if a.heap.Len() > 0 && a.heap.Top().At <= a.ticks {
 		a.resendDue(ctx)
 	}
 	a.inner.Tick(a.wrap(ctx))
@@ -533,11 +542,11 @@ func (a *Automaton) Tick(ctx model.Context) {
 func (a *Automaton) IdleTicks(fd any) int64 {
 	k := model.IdleTicks(a.inner, fd)
 	h := &a.heap
-	for h.len() > 0 && h.slots[h.keys[0].slot].acked {
-		h.release(h.pop().slot)
+	for h.Len() > 0 && h.Slot(h.Top().Slot).acked {
+		h.Release(h.Pop().Slot)
 	}
-	if h.len() > 0 {
-		if due := max(0, h.peekDue()-a.ticks-1); k < 0 || due < k {
+	if h.Len() > 0 {
+		if due := max(0, h.Top().At-a.ticks-1); k < 0 || due < k {
 			k = due
 		}
 	}
@@ -553,40 +562,40 @@ func (a *Automaton) IdleTicks(fd any) int64 {
 func (a *Automaton) resendDue(ctx model.Context) {
 	h := &a.heap
 	a.due = a.due[:0]
-	for h.len() > 0 && h.peekDue() <= a.ticks {
-		k := h.pop()
-		if h.slots[k.slot].acked {
-			h.release(k.slot)
+	for h.Len() > 0 && h.Top().At <= a.ticks {
+		k := h.Pop()
+		if h.Slot(k.Slot).acked {
+			h.Release(k.Slot)
 			continue
 		}
-		a.due = append(a.due, k.slot)
+		a.due = append(a.due, k.Slot)
 	}
 	// Insertion sort by ord: popped order is (due, ord), resend order must be
 	// ord alone. The due set is small (one backoff cohort), so this beats a
 	// sort.Slice allocation per tick.
 	for i := 1; i < len(a.due); i++ {
 		s := a.due[i]
-		o := h.slots[s].ord
+		o := h.Slot(s).ord
 		j := i - 1
-		for j >= 0 && h.slots[a.due[j]].ord > o {
+		for j >= 0 && h.Slot(a.due[j]).ord > o {
 			a.due[j+1] = a.due[j]
 			j--
 		}
 		a.due[j+1] = s
 	}
 	for _, s := range a.due {
-		pd := &h.slots[s]
+		pd := h.Slot(s)
 		if a.opts.GiveUpTicks > 0 && pd.attempts >= a.cappedAt &&
 			a.ticks-a.lastHeard[pd.to-1] > int64(a.opts.GiveUpTicks) {
 			a.abandoned++
 			delete(a.pending, pendKey{to: pd.to, seq: pd.seq})
-			h.release(s)
+			h.Release(s)
 			continue
 		}
 		a.resends++
 		ctx.Send(pd.to, Data{Epoch: a.epoch, Seq: pd.seq, Base: a.linkBase(pd.to), Payload: pd.payload})
 		pd.attempts++
-		h.push(a.ticks+a.backoff(pd.to, pd.attempts), pd.ord, s)
+		h.Push(a.ticks+a.backoff(pd.to, pd.attempts), pd.ord, s)
 	}
 }
 
@@ -644,12 +653,12 @@ func (a *Automaton) sendData(ctx model.Context, to model.ProcID, payload any) {
 	}
 	a.seqTo[to-1]++
 	a.sent++
-	slot := a.heap.alloc()
-	pd := &a.heap.slots[slot]
+	slot := a.heap.Alloc()
+	pd := a.heap.Slot(slot)
 	*pd = pending{to: to, seq: a.seqTo[to-1], ord: a.sent, sentAt: a.ticks, payload: payload}
 	due := a.ticks + a.backoff(to, 0)
 	a.pending[pendKey{to: to, seq: pd.seq}] = slot
-	a.heap.push(due, pd.ord, slot)
+	a.heap.Push(due, pd.ord, slot)
 	ctx.Send(to, Data{Epoch: a.epoch, Seq: pd.seq, Base: a.linkBase(to), Payload: payload})
 }
 

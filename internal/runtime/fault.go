@@ -237,18 +237,11 @@ func (t *FaultTransport) Schedule(after time.Duration, step func(*FaultTransport
 	}()
 }
 
-// hash64 is the splitmix-style mix shared with adversary.Lossy's link-rate
-// derivation: a pure function of its inputs, so fault schedules never depend
+// hash64 is a pure function of its inputs, so fault schedules never depend
 // on map order or call interleaving across links.
 func hash64(seed int64, a, b, c int64) uint64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(a)*0xbf58476d1ce4e5b9 +
-		uint64(b)*0x94d049bb133111eb + uint64(c)*0xd6e8feb86659fd93
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return model.Mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(a)*0xbf58476d1ce4e5b9 +
+		uint64(b)*0x94d049bb133111eb + uint64(c)*0xd6e8feb86659fd93)
 }
 
 // unit maps a hash draw to [0, 1).

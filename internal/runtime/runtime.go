@@ -5,9 +5,10 @@
 // IMPLEMENTED from message passing rather than read from an oracle: a
 // heartbeat-based Ω (a process trusts the smallest-ID process it has heard
 // any frame from within LeaderTimeout; only a process that trusts itself
-// beats all peers with higher IDs, a follower beats only its leader, and
-// neither beats a link that carried a frame since its previous beat), which
-// is how Ω is realized in practice under partial synchrony.
+// beats all peers with higher IDs, a follower beats only its leader, and a
+// link gets a heartbeat only after half its reader's window of silence:
+// LeaderTimeout/2 from a self-trusting process, DegradedAfter/2 from a
+// follower), which is how Ω is realized in practice under partial synchrony.
 //
 // The package splits into three layers:
 //

@@ -33,8 +33,8 @@
 //   - LeaderStarver is the PROTOCOL-AWARE scheduler the blind rotation's E12
 //     honesty note asked for: it reads the run's current Ω output through
 //     the kernel's leadership-observation hook (sim.LeaderAware — the kernel
-//     hands any aware model a pure query answering from the same per-segment
-//     fd.Cached the automata's own detector queries hit) and pins EVERY link
+//     hands any aware model a pure query reading the same detector history
+//     the automata's own queries read) and pins EVERY link
 //     touching the current leader at the admissibility bound, the leader's
 //     own self-delivery loop included. Pre-stabilization views may disagree,
 //     so the victim is anchored at the lowest-id process's view; links the
@@ -202,8 +202,8 @@ func (s *FaultSchedule) QuietAfter() model.Time {
 }
 
 // Boundaries returns every instant at which some process's up/down state
-// changes, sorted and deduplicated. Failure detectors built over a schedule
-// (fd.NewOmegaUp) use it to segment their histories for fd.Cached.
+// changes, sorted and deduplicated: between two of them the up set is
+// constant.
 func (s *FaultSchedule) Boundaries() []model.Time {
 	set := map[model.Time]bool{}
 	for _, ivs := range s.down {

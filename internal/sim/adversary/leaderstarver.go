@@ -37,7 +37,7 @@ import (
 //
 // The observation is installed by the kernel at construction (any
 // fd.Detector whose values carry an Ω component — Omega, OmegaUp,
-// OmegaSigma — is visible; see fd.Cached.Leader). Driven without a kernel,
+// OmegaSigma — is visible; see fd.LeaderOf). Driven without a kernel,
 // or under a detector with no Ω component, the starver degrades to the pure
 // greedy-spread adversary: no observation, no victim.
 //

@@ -79,12 +79,7 @@ func (l *Lossy) base() (model.Time, model.Time) {
 // clamped to [0, 1): a pure function of (seed, from, to) via a splitmix-style
 // integer hash, independent of call order.
 func (l *Lossy) linkRate(from, to model.ProcID) float64 {
-	x := uint64(l.seed)*0x9e3779b97f4a7c15 + uint64(from)*0xbf58476d1ce4e5b9 + uint64(to)*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := model.Mix64(uint64(l.seed)*0x9e3779b97f4a7c15 + uint64(from)*0xbf58476d1ce4e5b9 + uint64(to)*0x94d049bb133111eb)
 	r := 2 * l.Drop * float64(x>>11) / float64(1<<53)
 	if r >= 1 {
 		r = 0.999

@@ -81,13 +81,7 @@ func deriveSeed(seed int64, layer int) int64 {
 	if layer == 0 {
 		return seed // the first layer keeps the run seed (single-layer parity)
 	}
-	x := uint64(seed) + uint64(layer)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return int64(model.Mix64(uint64(seed) + uint64(layer)*0x9e3779b97f4a7c15))
 }
 
 // ObserveLeadership implements LeaderAware by forwarding to every layer that

@@ -54,10 +54,10 @@ type NetworkModel interface {
 // which a protocol-aware network model sees the protocol it is scheduling
 // against.
 //
-// The kernel installs one automatically (see LeaderAware): it answers from
-// the same per-segment fd.Cached the step loop queries, so observations are
-// deterministic, cheap within a constancy segment, and always consistent with
-// what the automata themselves see through model.Context.FD().
+// The kernel installs one automatically (see LeaderAware): it reads the same
+// detector the step loop queries, so observations are deterministic, O(1),
+// and always consistent with what the automata themselves see through
+// model.Context.FD().
 type LeaderObservation func(p model.ProcID, t model.Time) (leader model.ProcID, ok bool)
 
 // LeaderAware is an optional NetworkModel interface for protocol-aware

@@ -21,8 +21,8 @@
 // register their own presets. Models STACK through ComposeNetworks (delays
 // add, delivery needs unanimity, per-layer seed streams), and a model that
 // implements LeaderAware is handed a leadership observation by the kernel —
-// a pure query for the Ω component of the run's detector history, served
-// from the kernel's own fd.Cached — so protocol-aware adversaries
+// a pure query for the Ω component of the run's detector history, the same
+// history the automata read — so protocol-aware adversaries
 // (adversary.LeaderStarver) can aim at the current leader.
 //
 // The failure half of the environment is pluggable too: Options.Faults takes
@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/slabheap"
 )
 
 // Options configure a simulated run.
@@ -157,9 +158,9 @@ const (
 	evDeliverBatch
 )
 
+// event is one queued kernel event, stored in place in the queue's slab; its
+// time and FIFO tie-break sequence live in the heap key.
 type event struct {
-	t    model.Time
-	seq  int64 // FIFO tie-break for equal times
 	kind eventKind
 	p    model.ProcID // target process (tick, input, restart)
 	gen  int32        // tick-chain generation (tick); see Kernel.tickGen
@@ -190,9 +191,8 @@ type Kernel struct {
 	faults   model.FaultModel
 	monotone *model.FailurePattern // nil iff Options.Faults overrides fp
 	factory  model.AutomatonFactory
-	det      fd.Detector // the history as given to New
-	fdc      *fd.Cached  // memoized query path used by step (one per kernel)
-	autos    map[model.ProcID]model.Automaton
+	det      fd.Detector       // the history, queried at every step
+	autos    []model.Automaton // index p-1
 	opts     Options
 	net      NetworkModel
 	procs    []model.ProcID // Π, computed once (hot-path allocation saver)
@@ -221,8 +221,8 @@ type Kernel struct {
 	// receives it.
 	restartDue map[restartKey]struct{}
 
-	queue    eventHeap
-	sctx     stepCtx // reused per step
+	queue    slabheap.Heap[event] // ordered by (t, seq)
+	sctx     stepCtx              // reused per step
 	seq      int64
 	msgSeq   int64
 	now      model.Time
@@ -237,13 +237,9 @@ type Kernel struct {
 // New builds a kernel over failure pattern fp, detector history det, and the
 // automaton factory. The run starts when Run/RunUntil is first called.
 //
-// Detector queries made by the kernel's step loop go through a private
-// fd.Cached wrapper: histories are deterministic step functions of time, so
-// within one constancy segment the value is computed once and served from a
-// per-process cache (see fd.Cached for the soundness argument). The wrapper
-// belongs to this kernel alone, so sharing det across kernels — including
-// concurrently running ones — stays safe as long as det itself is the usual
-// immutable oracle.
+// Every step reads det directly. The histories in internal/fd answer a
+// query without mutating anything (and Ω's and Σ's without allocating), so
+// one det can be shared across kernels, concurrently running ones included.
 func New(fp *model.FailurePattern, det fd.Detector, factory model.AutomatonFactory, opts Options) *Kernel {
 	opts = opts.withDefaults()
 	var net NetworkModel
@@ -271,24 +267,24 @@ func New(fp *model.FailurePattern, det fd.Detector, factory model.AutomatonFacto
 		monotone: monotone,
 		factory:  factory,
 		det:      det,
-		fdc:      fd.NewCached(det),
-		autos:    make(map[model.ProcID]model.Automaton, fp.N()),
+		autos:    make([]model.Automaton, fp.N()),
 		opts:     opts,
 		net:      net,
 		procs:    model.Procs(fp.N()),
 		tickGen:  make([]int32, fp.N()),
-		queue:    eventHeap{keys: make([]heapKey, 0, 256), slots: make([]event, 0, 256)},
 		obs:      NopObserver{},
 	}
-	for _, p := range k.procs {
-		k.autos[p] = factory(p, fp.N())
+	k.queue.Grow(256)
+	for i, p := range k.procs {
+		k.autos[i] = factory(p, fp.N())
 	}
 	// Protocol-aware adversaries get their leadership observation here: the
-	// hook reads the Ω component of the run's detector history through the
-	// kernel's own fd.Cached, so the network model sees exactly the per-segment
-	// leader values the automata see, at memoized cost.
+	// hook reads the Ω component of the run's detector history, so the
+	// network model sees exactly the leader values the automata see.
 	if la, ok := net.(LeaderAware); ok {
-		la.ObserveLeadership(k.fdc.Leader)
+		la.ObserveLeadership(func(p model.ProcID, t model.Time) (model.ProcID, bool) {
+			return fd.LeaderOf(det.Value(p, t))
+		})
 	}
 	return k
 }
@@ -317,7 +313,7 @@ func (k *Kernel) Pattern() *model.FailurePattern { return k.fp }
 func (k *Kernel) Detector() fd.Detector { return k.det }
 
 // Automaton returns the automaton of process p for post-run inspection.
-func (k *Kernel) Automaton(p model.ProcID) model.Automaton { return k.autos[p] }
+func (k *Kernel) Automaton(p model.ProcID) model.Automaton { return k.autos[p-1] }
 
 // Steps returns the number of steps executed so far.
 func (k *Kernel) Steps() int64 { return k.nSteps }
@@ -360,12 +356,15 @@ func (k *Kernel) ScheduleInput(p model.ProcID, t model.Time, v any) {
 }
 
 // enqueue stamps the FIFO tie-break sequence and reserves the event's slot
-// in the heap's slab; the caller fills the remaining fields in place.
-// Events are plain values living inside that backing array: no per-event
-// allocation, no boxing, no freelist of pointers.
+// in the heap's slab; the caller fills the event in place. Events are plain
+// values living inside that backing array: no per-event allocation, no
+// boxing, no freelist of pointers. The pointer is valid until the next
+// enqueue.
 func (k *Kernel) enqueue(t model.Time) *event {
 	k.seq++
-	return k.queue.emplace(t, k.seq)
+	slot := k.queue.Alloc()
+	k.queue.Push(int64(t), k.seq, slot)
+	return k.queue.Slot(slot)
 }
 
 func (k *Kernel) start() {
@@ -378,7 +377,7 @@ func (k *Kernel) start() {
 	// staggered by one tick per process so steps never coincide.
 	for _, p := range k.procs {
 		if k.up(p, 0) {
-			k.step(p, func(ctx *stepCtx) { k.autos[p].Init(ctx) }, 0, 0)
+			k.step(p, func(ctx *stepCtx) { k.autos[p-1].Init(ctx) }, 0, 0)
 		}
 	}
 	for i, p := range k.procs {
@@ -430,24 +429,28 @@ func (k *Kernel) RunUntil(maxTime model.Time, stop func(k *Kernel) bool) {
 	if maxTime > k.opts.MaxTime {
 		maxTime = k.opts.MaxTime
 	}
-	for k.queue.len() > 0 {
-		if k.queue.peekTime() > maxTime {
+	for k.queue.Len() > 0 {
+		key := k.queue.Top()
+		if model.Time(key.At) > maxTime {
 			k.now = maxTime
 			return
 		}
-		if si := k.queue.topSlot(); k.queue.slot(si).kind == evDeliverBatch {
-			top := k.queue.slot(si)
-			k.now = top.t
+		k.now = model.Time(key.At)
+		if top := k.queue.Slot(key.Slot); top.kind == evDeliverBatch {
 			k.deliverBatchMember(top)
 			// The member's step may have grown the slab; re-resolve before
 			// checking for exhaustion.
-			if top = k.queue.slot(si); int(top.cursor) >= len(top.recips) {
-				e := k.queue.pop()
-				k.recipPool = append(k.recipPool, e.recips[:0])
+			if top = k.queue.Slot(key.Slot); int(top.cursor) >= len(top.recips) {
+				k.queue.Pop()
+				k.recipPool = append(k.recipPool, top.recips[:0])
+				k.queue.Release(key.Slot)
 			}
 		} else {
-			e := k.queue.pop()
-			k.now = e.t
+			// Dispatching pushes new events, which may reuse or move the
+			// slot, so the event is copied out before its slot is released.
+			k.queue.Pop()
+			e := *top
+			k.queue.Release(key.Slot)
 			k.dispatch(&e)
 		}
 		if stop != nil && stop(k) {
@@ -466,10 +469,10 @@ func (k *Kernel) deliverBatchMember(e *event) {
 	m := e.msg
 	m.To = q
 	m.ID = e.baseID + int64(q-1)
-	if k.up(q, e.t) {
-		k.obs.OnDeliver(e.t, m)
+	if k.up(q, k.now) {
+		k.obs.OnDeliver(k.now, m)
 		k.step(q, func(ctx *stepCtx) {
-			k.autos[q].Recv(ctx, m.From, m.Payload)
+			k.autos[q-1].Recv(ctx, m.From, m.Payload)
 		}, m.Depth, m.ID)
 	} else {
 		k.nDropped++
@@ -482,30 +485,30 @@ func (k *Kernel) dispatch(e *event) {
 		if e.gen != k.tickGen[e.p-1] {
 			return // chain superseded by a restart's fresh one
 		}
-		if k.up(e.p, e.t) {
-			k.step(e.p, func(ctx *stepCtx) { k.autos[e.p].Tick(ctx) }, 0, 0)
-			next := k.enqueue(e.t + k.opts.TickInterval)
+		if k.up(e.p, k.now) {
+			k.step(e.p, func(ctx *stepCtx) { k.autos[e.p-1].Tick(ctx) }, 0, 0)
+			next := k.enqueue(k.now + k.opts.TickInterval)
 			next.kind, next.p, next.gen = evTick, e.p, e.gen
 		}
 	case evInput:
-		if k.up(e.p, e.t) {
-			if _, due := k.restartDue[restartKey{p: e.p, t: e.t}]; due {
+		if k.up(e.p, k.now) {
+			if _, due := k.restartDue[restartKey{p: e.p, t: k.now}]; due {
 				// The process restarts at this very instant and the restart
 				// event is still queued behind us: defer the input past it so
 				// the NEW incarnation — not the state about to be wiped —
 				// receives it (see Kernel.restartDue).
-				re := k.enqueue(e.t)
+				re := k.enqueue(k.now)
 				re.kind, re.p, re.in = evInput, e.p, e.in
 				return
 			}
-			k.obs.OnInput(e.p, e.t, e.in)
-			k.step(e.p, func(ctx *stepCtx) { k.autos[e.p].Input(ctx, e.in) }, 0, 0)
+			k.obs.OnInput(e.p, k.now, e.in)
+			k.step(e.p, func(ctx *stepCtx) { k.autos[e.p-1].Input(ctx, e.in) }, 0, 0)
 		}
 	case evDeliver:
-		if k.up(e.msg.To, e.t) {
-			k.obs.OnDeliver(e.t, e.msg)
+		if k.up(e.msg.To, k.now) {
+			k.obs.OnDeliver(k.now, e.msg)
 			k.step(e.msg.To, func(ctx *stepCtx) {
-				k.autos[e.msg.To].Recv(ctx, e.msg.From, e.msg.Payload)
+				k.autos[e.msg.To-1].Recv(ctx, e.msg.From, e.msg.Payload)
 			}, e.msg.Depth, e.msg.ID)
 		} else {
 			k.nDropped++
@@ -516,14 +519,14 @@ func (k *Kernel) dispatch(e *event) {
 		// restart step, and a fresh tick chain starts one interval later. The
 		// generation bump retires any tick chain that outlived the down
 		// interval (one too short to contain a tick event).
-		delete(k.restartDue, restartKey{p: e.p, t: e.t})
-		if !k.up(e.p, e.t) {
+		delete(k.restartDue, restartKey{p: e.p, t: k.now})
+		if !k.up(e.p, k.now) {
 			return // defensive: schedule says down at its own restart time
 		}
 		k.tickGen[e.p-1]++
-		k.autos[e.p] = k.factory(e.p, k.fp.N())
-		k.step(e.p, func(ctx *stepCtx) { k.autos[e.p].Init(ctx) }, 0, 0)
-		next := k.enqueue(e.t + k.opts.TickInterval)
+		k.autos[e.p-1] = k.factory(e.p, k.fp.N())
+		k.step(e.p, func(ctx *stepCtx) { k.autos[e.p-1].Init(ctx) }, 0, 0)
+		next := k.enqueue(k.now + k.opts.TickInterval)
 		next.kind, next.p, next.gen = evTick, e.p, k.tickGen[e.p-1]
 	case evDeliverBatch:
 		// Batches never reach dispatch: RunUntil expands them in place.
@@ -547,7 +550,7 @@ func (k *Kernel) step(p model.ProcID, h func(*stepCtx), causeDepth int, causeID 
 		k:          k,
 		self:       p,
 		t:          k.now,
-		fdv:        k.fdc.Value(p, k.now),
+		fdv:        k.det.Value(p, k.now),
 		causeDepth: causeDepth,
 		causeID:    causeID,
 	}

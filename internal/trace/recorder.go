@@ -124,7 +124,7 @@ func (r *Recorder) OnOutput(p model.ProcID, t model.Time, v any) {
 	case model.Decision:
 		r.decisions[p] = append(r.decisions[p], DecisionPoint{T: t, Instance: out.Instance, Value: out.Value})
 	case model.ProposeInput:
-		// Driven protocols (ec.NewDriven, the §3 transformations) announce
+		// Driven protocols (ec.DrivenFactory, the §3 transformations) announce
 		// their self-generated proposals as outputs so that the EC-Validity
 		// checker sees the full input history.
 		r.proposals = append(r.proposals, ProposalPoint{P: p, T: t, Instance: out.Instance, Value: out.Value})
